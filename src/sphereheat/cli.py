@@ -10,18 +10,20 @@ Subcommands:
 
 Flags may also be supplied through ``--config FILE`` holding one
 ``key=value`` assignment per line (UTF-8, ``#`` comments); explicit flags
-win.  ``SPHEREHEAT_THREADS`` caps the worker pool, floats are printed with
-17 significant digits, and a fixed seed makes reruns byte-identical.
+win.  Study cells are computed one after another; ``SPHEREHEAT_THREADS``
+sizes only the Monte Carlo process pool.  Floats are printed with 17
+significant digits, a fixed seed makes reruns byte-identical, and a cell
+that fails keeps its reason, which ``moment`` and ``study`` print (the
+latter on stderr, so the CSV does not change).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from . import verify as verify_mod
 from .eigenmethod import heat_moment_x1_eigen
 from .gaussian_limit import gaussian_moment
-from .heatop import heat_moment_monomial
+from .heatop import SeriesToleranceError, heat_moment_monomial
 from .operators import SphereConfig
 from .pde_appendix import (
     FIRST_COORDINATE,
@@ -49,13 +51,6 @@ ALL_ROUTES = ("matexp", "series", "eigen", "mc")
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _threads() -> int:
-    env = os.environ.get("SPHEREHEAT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass
@@ -100,6 +95,7 @@ class StudyRow:
     limit: float
     stderr: float | None = None
     fitted_rate: float | None = field(default=None)
+    reason: str | None = None  # why value is None; never written to the CSV
 
     @property
     def abs_error(self) -> float | None:
@@ -123,48 +119,32 @@ class StudyRow:
 
 def _route_value(
     spec: StudySpec, alpha: tuple[int, ...], n: int, t: float, route: str
-) -> tuple[float | None, float | None]:
-    """(value, stderr); value None marks a failed/unsupported route."""
+) -> tuple[float | None, float | None, str | None]:
+    """(value, stderr, reason); value None marks a failed route, reason says why."""
     cfg = SphereConfig(N=n, t=t, k=spec.k, ell=spec.degree)
     try:
         if route == "mc":
             mc = McConfig(cfg=cfg, step_h=spec.step, n_paths=spec.paths, seed=spec.seed)
             est = mc_moment(mc, alpha, workers=1)
-            return est.mean, est.stderr
+            return est.mean, est.stderr, None
         if route == "eigen":
             if any(alpha[1:]):
-                return None, None  # closed form covers pure x1 powers only
-            return heat_moment_x1_eigen(alpha[0], cfg), None
+                return None, None, "the eigen route covers pure x1 powers only"
+            return heat_moment_x1_eigen(alpha[0], cfg), None, None
         res = heat_moment_monomial(cfg, alpha, route=route, precision=spec.precision)
-        return res.value, None
-    except Exception:
-        return None, None
+        return res.value, None, None
+    except (ValueError, SeriesToleranceError) as exc:
+        return None, None, str(exc)
 
 
 def run_study(spec: StudySpec) -> list[StudyRow]:
-    """Compute all grid cells (thread pool), in canonical row order."""
-    tasks = [
-        (alpha, n, t, route)
-        for alpha in spec.monomials
-        for n in spec.n_values
-        for t in spec.t_values
-        for route in spec.routes
-    ]
-
-    def work(task):
-        alpha, n, t, route = task
-        value, stderr = _route_value(spec, alpha, n, t, route)
-        return StudyRow(
-            monomial=alpha, N=n, t=t, route=route,
-            value=value, limit=gaussian_moment(alpha, t), stderr=stderr,
-        )
-
-    workers = _threads()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, tasks))
-    else:
-        rows = [work(t) for t in tasks]
+    """Compute all grid cells, one after another, in canonical row order."""
+    rows = []
+    for cell in itertools.product(spec.monomials, spec.n_values, spec.t_values, spec.routes):
+        value, stderr, reason = _route_value(spec, *cell)
+        alpha, n, t, route = cell
+        rows.append(StudyRow(alpha, n, t, route, value, gaussian_moment(alpha, t),
+                             stderr=stderr, reason=reason))
     rows.sort(key=lambda r: (r.monomial, r.N, r.t, r.route))
     _fill_rates(rows)
     return rows
@@ -331,7 +311,7 @@ def cmd_moment(args) -> int:
     for r in rows:
         if r.value is None:
             print(f"{r.route:7s} monomial=({','.join(map(str, r.monomial))}) "
-                  f"N={r.N} t={_fmt(r.t)}  FAILED (route unsupported here)")
+                  f"N={r.N} t={_fmt(r.t)}  FAILED ({r.reason})")
             continue
         extra = f"  stderr={_fmt(r.stderr)}" if r.stderr is not None else ""
         print(f"{r.route:7s} monomial=({','.join(map(str, r.monomial))}) "
@@ -349,12 +329,15 @@ def cmd_study(args) -> int:
         print(f"wrote {len(rows)} rows to {spec.out}")
     else:
         write_csv(rows, sys.stdout)
-    failed = sum(1 for r in rows if r.value is None)
+    failed = [r for r in rows if r.value is None]
+    for r in failed:
+        print(f"failed: ({','.join(map(str, r.monomial))}) N={r.N} t={_fmt(r.t)} "
+              f"{r.route}: {r.reason}", file=sys.stderr)
     fitted = [r.fitted_rate for r in rows if r.fitted_rate is not None]
     if fitted:
         print(f"fitted decay rates: {', '.join(_fmt(x) for x in fitted)}")
     if failed:
-        print(f"{failed} route cells failed")
+        print(f"{len(failed)} route cells failed")
     return 0
 
 

@@ -6,7 +6,8 @@ coefficients and eigenvalues lambda_n = -n (1 + (n-2)/N).  Expanding a
 monomial over that family, applying exp((t/2) D) eigenvalue by eigenvalue,
 and evaluating at sqrt(N) yields finite-N moments in closed form, kept
 symbolic as sums of rationals times exp(-s t/2) exp(q t/(2N)) N^(p/2) until
-the final evaluation.
+the final evaluation by :func:`evaluate_exp_sum`, which the extended
+operator route in :mod:`sphereheat.heatop` shares.
 
 The module also carries the 1/N power-series machinery for the rational
 factor t0(h) that drives the large-N moment analysis, and the limiting
@@ -24,7 +25,7 @@ from typing import Sequence
 import mpmath
 
 from .gaussian_limit import even_moment_factor, var_first
-from .operators import SphereConfig, build_D
+from .operators import SphereConfig, _first_part_rule
 from .polyalg import Polynomial
 
 
@@ -119,7 +120,7 @@ def eigen_poly(n: int, N: int) -> EigenPolynomial:
         coeffs.append(num / den)
     p = EigenPolynomial(n=n, N=N, coeffs=tuple(coeffs), eigenvalue=eigenvalue(n, N))
     poly = p.polynomial()
-    if build_D(N, n).apply(poly) != p.eigenvalue * poly:
+    if _first_part_rule(N)(poly) != p.eigenvalue * poly:
         raise AssertionError(f"eigen-relation failed for n={n}, N={N}")
     return p
 
@@ -220,6 +221,34 @@ def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
 # ----------------------------------------------------------------------
 
 
+def evaluate_exp_sum(
+    terms: dict[tuple[int, int, int], Fraction], N: int, t: float
+) -> tuple[float, float]:
+    """Value and error bound of  sum weight * exp(-s t/2) * exp(q t/(2N)) * N^(p/2).
+
+    The terms can cancel from their largest magnitude down to an O(1)
+    result, so the sum is carried out with the digits of that magnitude
+    plus 30 guard digits.  The bound is half an ulp of the returned double
+    plus the rounding error of the evaluation itself.  Weights must be
+    nonzero.
+    """
+    top = max((  # log10 of the largest term
+        math.log10(abs(w.numerator)) - math.log10(w.denominator)
+        + (-s * t / 2 + q * t / (2 * N)) / math.log(10) + p * math.log10(N) / 2
+        for (s, q, p), w in terms.items()
+    ), default=0.0)
+    dps = max(math.ceil(top), 0) + 30
+    with mpmath.workdps(dps):
+        tt = mpmath.mpf(t)
+        value = float(mpmath.fsum(
+            mpmath.mpf(w.numerator) / w.denominator
+            * mpmath.exp(-s * tt / 2 + mpmath.mpf(q) * tt / (2 * N))
+            * mpmath.mpf(N) ** (mpmath.mpf(p) / 2)
+            for (s, q, p), w in sorted(terms.items())
+        ))
+    return value, 0.5 * math.ulp(value) + len(terms) * 10.0 ** (top + 1 - dps)
+
+
 @dataclass(frozen=True)
 class FiniteMomentX1:
     """Symbolic finite-N moment of x1^n.
@@ -233,43 +262,19 @@ class FiniteMomentX1:
     N: int
     terms: dict[tuple[int, int, int], Fraction]
 
-    def evaluate(self, t: float) -> float:
-        """Numeric value of the moment.
-
-        The sum cancels terms of size ~ N^(n/2) down to an O(1) result, so
-        it is always carried out at 50 significant digits before rounding
-        to float; plain double arithmetic would lose ~ 1e-8 at n = 8.
-        """
-        return self.evaluate_extended(t)
-
-    def evaluate_double(self, t: float) -> float:
-        """Double-precision evaluation (compensated sum, no extra digits)."""
-        vals = [
-            float(w) * math.exp(-0.5 * s * t + 0.5 * q * t / self.N) * self.N ** (0.5 * p)
-            for (s, q, p), w in sorted(self.terms.items())
-        ]
-        return math.fsum(vals)
-
-    def evaluate_extended(self, t: float, dps: int = 50) -> float:
-        with mpmath.workdps(dps):
-            tt = mpmath.mpf(t)
-            total = mpmath.mpf(0)
-            for (s, q, p), w in sorted(self.terms.items()):
-                weight = mpmath.mpf(w.numerator) / w.denominator
-                total += (
-                    weight
-                    * mpmath.exp(-s * tt / 2 + mpmath.mpf(q) * tt / (2 * self.N))
-                    * mpmath.mpf(self.N) ** (mpmath.mpf(p) / 2)
-                )
-            return float(total)
+    def evaluate_extended(self, t: float) -> float:
+        """Numeric value of the moment, through :func:`evaluate_exp_sum`."""
+        return evaluate_exp_sum(self.terms, self.N, t)[0]
 
 
+@lru_cache(maxsize=None)
 def finite_moment_x1(n: int, N: int) -> FiniteMomentX1:
     """Assemble the exact finite-N moment of x1^n through the eigenbasis.
 
     Expand (x - m)^n binomially, convert each power of x to the eigenbasis,
     scale each eigen-component by exp(t lambda /2), and evaluate at sqrt(N).
     Each drift power contributes m^i = N^(i/2) exp(-i t/2) exp(i t/(2N)).
+    Memoized per (n, N): callers share the result and must not change it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -292,7 +297,7 @@ def heat_moment_x1_eigen(n: int, cfg: SphereConfig) -> float:
     """Finite-N heat-kernel moment of x1^n by the eigen route."""
     if n > cfg.ell:
         raise ValueError(f"degree {n} exceeds configured cap {cfg.ell}")
-    return finite_moment_x1(n, cfg.N).evaluate(cfg.t)
+    return finite_moment_x1(n, cfg.N).evaluate_extended(cfg.t)
 
 
 def limit_moment_x1(n: int, t: float) -> float:

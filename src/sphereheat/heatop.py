@@ -9,7 +9,11 @@ Two independent numeric routes are provided and cross-checked:
 
 * ``series``: the truncated exponential power series with a rigorous
   geometric tail bound in the induced 1-norm, and
-* ``matexp``: a scaling-and-squaring matrix exponential.
+* ``matexp``: a scaling-and-squaring matrix exponential.  With
+  ``precision="extended"`` it is instead the exact moment of the same
+  operator, solved without a matrix on the monomials the sphere rule
+  reaches from each shifted monomial, and evaluated once at the digits its
+  largest term needs.
 
 A third, closed-form route for pure first-coordinate monomials lives in
 :mod:`sphereheat.eigenmethod`, and a stochastic one in
@@ -20,12 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 from scipy.linalg import expm
 
-from .operators import OperatorMatrix, SphereConfig, build_sphere_laplacian
+from .eigenmethod import evaluate_exp_sum
+from .operators import OperatorMatrix, SphereConfig, _sphere_rule, build_sphere_laplacian
 from .polyalg import Exponents, Polynomial, shift_first_variable_powers
 
 
@@ -38,8 +45,9 @@ class MomentResult:
     """A heat-kernel moment with provenance.
 
     ``error_bound`` is a proven tail majorant for the series route, a
-    machine-precision estimate for the matexp route, and a standard error
-    for Monte Carlo.
+    machine-precision estimate for the matexp route, half an ulp plus the
+    evaluation error for extended precision, and a standard error for
+    Monte Carlo.
     """
 
     value: float
@@ -181,13 +189,17 @@ def heat_moment(
     if route not in ("matexp", "series"):
         raise ValueError(f"unsupported route {route!r} for the operator pipeline")
 
-    op = build_sphere_laplacian(cfg, include_mixed_term=include_mixed_term)
+    alpha = next(iter(f.terms)) if len(f.terms) == 1 else None
     parts = shift_first_variable_powers(f)
-
     if precision == "extended":
-        return _heat_moment_extended(cfg, f, op, parts, route, tol)
+        if route != "matexp":
+            raise ValueError("extended precision is provided for the matexp route")
+        value, bound = _extended_moment(cfg, parts, include_mixed_term)
+        return MomentResult(value, route, bound, cfg, alpha)
     if precision != "double":
         raise ValueError(f"unknown precision {precision!r}")
+
+    op = build_sphere_laplacian(cfg, include_mixed_term=include_mixed_term)
 
     sqrt_n = math.sqrt(cfg.N)
     m = cfg.m
@@ -209,7 +221,6 @@ def heat_moment(
             bound = tail * scale_out
         values.append(m**i * _evaluate_at_pole(op.indexer, evolved, sqrt_n))
         bounds.append(m**i * bound)
-    alpha = next(iter(f.terms)) if len(f.terms) == 1 else None
     return MomentResult(
         value=math.fsum(values),
         route=route,
@@ -219,38 +230,43 @@ def heat_moment(
     )
 
 
-def _heat_moment_extended(cfg, f, op, parts, route, tol) -> MomentResult:
-    """50-digit variant of the moment pipeline (matexp route only)."""
-    if route != "matexp":
-        raise ValueError("extended precision is provided for the matexp route")
-    with mpmath.workdps(50):
-        exp_mat = heat_apply_matexp(op, cfg.t, precision="extended")
-        sqrt_n = mpmath.sqrt(cfg.N)
-        m = sqrt_n * mpmath.exp(mpmath.mpf(cfg.t) / 2 * (-1 + mpmath.mpf(1) / cfg.N))
-        total = mpmath.mpf(0)
-        n = op.dimension
-        for i, g in enumerate(parts):
-            vec = op.indexer.to_vector(g)
-            mp_vec = [mpmath.mpf(c.numerator) / c.denominator for c in vec]
-            evolved = [
-                mpmath.fsum(exp_mat[r, c] * mp_vec[c] for c in range(n) if mp_vec[c])
-                for r in range(n)
-            ]
-            val = mpmath.mpf(0)
-            for r, alpha in enumerate(op.indexer):
-                if any(alpha[1:]) or evolved[r] == 0:
-                    continue
-                val += evolved[r] * sqrt_n ** alpha[0]
-            total += m**i * val
-        value = float(total)
-    alpha = next(iter(f.terms)) if len(f.terms) == 1 else None
-    return MomentResult(
-        value=value,
-        route="matexp",
-        error_bound=abs(value) * 1e-40 + 1e-40,
-        config=cfg,
-        monomial=alpha,
-    )
+def _extended_moment(cfg, parts, include_mixed_term) -> tuple[float, float]:
+    """Exact moment on the reachable lattice, evaluated at the digits it needs.
+
+    h_c, the value of exp((t/2) L) y^c at the base point, solves
+    dh_c/dt = (lambda_c h_c + sum_c' L_cc' h_c') / 2, where the sphere rule
+    maps y^c to its rate lambda_c times y^c plus lowered y^c' of strictly
+    larger rates.  So each e^(r t/2) of a lowered h_c' enters h_c divided by
+    r - lambda_c, and e^(lambda_c t/2) takes what remains of h_c(0).  Terms
+    are keyed (s, q, p) as in :class:`~sphereheat.eigenmethod.FiniteMomentX1`;
+    the drift power m^i shifts a key by (i, i, i).
+    """
+    N = cfg.N
+    rule = _sphere_rule(N, cfg.k, include_mixed_term)
+
+    @lru_cache(maxsize=None)
+    def at_pole(c: Exponents) -> dict[tuple[int, int, int], Fraction]:
+        image = dict(rule(Polynomial.monomial(c)).terms)
+        rate = image.pop(c, Fraction(0))
+        q = (rate + sum(c)) * N
+        assert q.denominator == 1, f"rate {rate} is not -s + q/N"
+        terms: dict[tuple[int, int, int], Fraction] = {}
+        for lower, coeff in image.items():
+            for (s2, q2, p), w in at_pole(lower).items():
+                gap = Fraction(q2, N) - s2 - rate
+                terms[s2, q2, p] = terms.get((s2, q2, p), 0) + coeff * w / gap
+        start = {} if any(c[1:]) else {c[0]: Fraction(1)}
+        for (_, _, p), w in terms.items():
+            start[p] = start.get(p, 0) - w
+        terms.update(((sum(c), int(q), p), w) for p, w in start.items())
+        return {key: w for key, w in terms.items() if w}
+
+    terms: dict[tuple[int, int, int], Fraction] = {}
+    for i, g in enumerate(parts):
+        for beta, coeff in g.terms.items():
+            for (s, q, p), w in at_pole(beta).items():
+                terms[s + i, q + i, p + i] = terms.get((s + i, q + i, p + i), 0) + coeff * w
+    return evaluate_exp_sum({k: w for k, w in terms.items() if w}, N, cfg.t)
 
 
 def heat_moment_monomial(

@@ -67,14 +67,6 @@ class SphereConfig:
         """
         return math.sqrt(self.N) * math.exp(0.5 * self.t * (-1.0 + 1.0 / self.N))
 
-    @property
-    def north_pole_shifted_coordinate(self) -> float:
-        """First coordinate of the base point in the shifted frame."""
-        return math.sqrt(self.N)
-
-    def indexer(self) -> BasisIndexer:
-        return BasisIndexer(self.k, self.ell)
-
 
 class OperatorMatrix:
     """Dense exact-rational matrix of a degree-nonincreasing operator.
@@ -273,6 +265,25 @@ def _rest_part_rule(N: int, varcount: int) -> Callable[[Polynomial], Polynomial]
     return rule
 
 
+def _sphere_rule(
+    N: int, varcount: int, include_mixed_term: bool
+) -> Callable[[Polynomial], Polynomial]:
+    """L = D + E - (2/N) R1 Ry, or D + E without the mixed term.
+
+    On x^alpha of total degree d the diagonal coefficient is the rate
+    -d (1 + (d-2)/N) (with the mixed term); every other image term lowers
+    one exponent by two.
+    """
+    first, rest_part = _first_part_rule(N), _rest_part_rule(N, varcount)
+    rest = list(range(1, varcount))
+    mixed = Fraction(-2, N) if include_mixed_term else 0
+
+    def rule(p: Polynomial) -> Polynomial:
+        return first(p) + rest_part(p) + mixed * euler_apply(euler_apply(p, rest), [0])
+
+    return rule
+
+
 def _hermite_rule(varcount: int) -> Callable[[Polynomial], Polynomial]:
     rest = list(range(1, varcount))
 
@@ -372,9 +383,9 @@ def build_sphere_laplacian(
 ) -> OperatorMatrix:
     """Sphere Laplacian L = D + E - (2/N) R1 Ry on the joint degree <= ell basis.
 
-    The mixed term is the exact product of the two diagonal Euler matrices
-    scaled by -2/N.  ``include_mixed_term=False`` yields the decoupled
-    operator D + E whose distance to L vanishes like 1/N in the moments.
+    Built column by column from :func:`_sphere_rule`.
+    ``include_mixed_term=False`` yields the decoupled operator D + E whose
+    distance to L vanishes like 1/N in the moments.
     """
     ell = cfg.ell if ell is None else ell
     return _laplacian_cached(cfg.N, cfg.k, ell, include_mixed_term)
@@ -384,17 +395,12 @@ def build_sphere_laplacian(
 def _laplacian_cached(
     N: int, k: int, ell: int, include_mixed_term: bool
 ) -> OperatorMatrix:
-    indexer = BasisIndexer(k, ell)
-    d_part = operator_from_rule(indexer, _first_part_rule(N), "D", (N, k, ell))
-    e_part = operator_from_rule(indexer, _rest_part_rule(N, k), "E", (N, k, ell))
-    total = d_part + e_part
-    if include_mixed_term and k >= 2:
-        mixed = (build_euler_first(indexer) @ build_euler_rest(indexer)).scale(
-            Fraction(-2, N)
-        )
-        total = total + mixed
-    label = "L" if include_mixed_term else "D+E"
-    return OperatorMatrix(total.entries, indexer, label, (N, k, ell))
+    return operator_from_rule(
+        BasisIndexer(k, ell),
+        _sphere_rule(N, k, include_mixed_term),
+        "L" if include_mixed_term else "D+E",
+        (N, k, ell),
+    )
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

@@ -196,13 +196,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def extend(self, varcount: int) -> "Polynomial":
-        """Reinterpret in a larger variable set (new variables unused)."""
-        if varcount < self.varcount:
-            raise ValueError("cannot shrink the variable set")
-        pad = (0,) * (varcount - self.varcount)
-        return Polynomial(varcount, {a + pad: c for a, c in self.terms.items()})
-
     def map_coefficients(self, fn: Callable) -> "Polynomial":
         return Polynomial(self.varcount, {a: fn(c) for a, c in self.terms.items()})
 

@@ -368,7 +368,3 @@ def run_suite(name: str, **mc_kwargs) -> list[CheckResult]:
     if name == "mc":
         return run_mc_suite(**mc_kwargs)
     raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-
-
-def run_all() -> dict[str, list[CheckResult]]:
-    return {name: run_suite(name) for name in SUITES}

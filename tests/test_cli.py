@@ -1,5 +1,6 @@
 """Command-line interface: schema, determinism, exit codes."""
 
+import csv
 import io
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import sys
 import pytest
 
 from sphereheat.cli import CSV_HEADER, StudySpec, main, run_study, write_csv
+from sphereheat.heatop import heat_moment_monomial
+from sphereheat.operators import SphereConfig
 
 
 def render_csv(rows) -> str:
@@ -65,6 +68,7 @@ def test_eigen_route_fails_cleanly_on_rest_monomials():
     )
     rows = run_study(spec)
     assert rows[0].value is None
+    assert rows[0].reason == "the eigen route covers pure x1 powers only"
     line = render_csv(rows).splitlines()[1]
     assert "failed" in line
 
@@ -127,6 +131,22 @@ def test_moment_command_prints_routes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "matexp" in out and "eigen" in out and "abs_error" in out
+
+
+def test_study_names_the_reason_of_each_failed_cell(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    rc = main(["study", "--monomial", "2,2", "--N", "16", "--t", "1", "--precision", "extended",
+               "--routes", "matexp,series", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ("failed: (2,2) N=16 t=1 series: "
+                            "extended precision is provided for the matexp route\n")
+    assert "1 route cells failed" in captured.out
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [r[3] for r in rows[1:]] == ["matexp", "series"]
+    assert rows[2][4:7] == ["failed", rows[1][5], ""]
+    double = heat_moment_monomial(SphereConfig(N=16, t=1.0, k=2, ell=4), (2, 2))
+    assert abs(float(rows[1][4]) - double.value) <= double.error_bound
 
 
 def test_study_command_writes_file(tmp_path, capsys):

@@ -24,7 +24,7 @@ from sphereheat.eigenmethod import (
     t0_exact,
     t0_series,
 )
-from sphereheat.gaussian_limit import var_first
+from sphereheat.gaussian_limit import gaussian_moment, var_first
 from sphereheat.heatop import heat_moment_monomial
 from sphereheat.operators import SphereConfig, build_D
 from sphereheat.polyalg import Polynomial
@@ -190,17 +190,26 @@ def test_second_moment_closed_form(t):
 
 def test_cross_route_agreement():
     worst = 0.0
-    for n_sphere in (8, 16, 32, 64):
+    for n_sphere in (8, 16, 32, 64, 256, 1024):
         for t in (0.5, 1.0, 2.0):
-            cfg = SphereConfig(N=n_sphere, t=t, k=1, ell=8)
-            for n in range(9):
+            cfg = SphereConfig(N=n_sphere, t=t, k=1, ell=12)
+            for n in range(13):
                 ev = heat_moment_x1_eigen(n, cfg)
+                # two exact representations, each rounded once to a double
+                ext = heat_moment_monomial(cfg, (n,), precision="extended")
+                assert abs(ev - ext.value) <= 2 * ext.error_bound, (n_sphere, t, n)
                 # the double-precision operator route hits its conditioning
-                # floor ~ m^n * 1e-13 at n >= 6; switch to the extended toggle
-                prec = "extended" if n >= 6 else "double"
-                mv = heat_moment_monomial(cfg, (n,), precision=prec).value
-                worst = max(worst, abs(ev - mv))
+                # floor ~ m^n * 1e-13 at n >= 6
+                if n < 6 and n_sphere <= 64:
+                    worst = max(worst, abs(ev - heat_moment_monomial(cfg, (n,)).value))
     assert worst <= 1e-9
+
+
+def test_high_power_at_large_n_keeps_its_digits():
+    # terms near 1e60 cancel down to about 1e3; the true gap to the limit is 4.4e-4
+    cfg = SphereConfig(N=10**6, t=1.0, k=1, ell=20)
+    limit = gaussian_moment((20,), 1.0)
+    assert abs(heat_moment_x1_eigen(20, cfg) - limit) <= 1e-3 * limit
 
 
 def test_limit_moment_closed_forms():

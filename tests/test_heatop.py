@@ -1,8 +1,10 @@
 """Cross-checked numeric routes for the heat-operator moments."""
 
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +22,8 @@ from sphereheat.operators import (
     build_D,
     build_sphere_laplacian,
 )
-from sphereheat.polyalg import BasisIndexer, Polynomial
+from sphereheat import heatop
+from sphereheat.polyalg import BasisIndexer, Polynomial, shift_first_variable_powers
 
 
 def x1sq_closed_form(n: int, t: float) -> float:
@@ -216,6 +219,63 @@ def test_moment_result_provenance_fields():
     assert res.config == cfg
     with pytest.raises(ValueError):
         MomentResult(1.0, "matexp", -1.0, cfg, None)
+
+
+def dense_reference_moment(cfg, alpha, exp_mat, indexer):
+    """Moment of x^alpha from the 50-digit dense exponential, applied by hand."""
+    with mpmath.workdps(50):
+        sqrt_n = mpmath.sqrt(cfg.N)
+        m = sqrt_n * mpmath.exp(mpmath.mpf(cfg.t) / 2 * (mpmath.mpf(1) / cfg.N - 1))
+        total = mpmath.mpf(0)
+        for i, g in enumerate(shift_first_variable_powers(Polynomial.monomial(alpha))):
+            for beta, coeff in g.terms.items():
+                col = indexer.index(beta)
+                for row, gamma in enumerate(indexer):
+                    if not any(gamma[1:]):
+                        weight = mpmath.mpf(coeff.numerator) / coeff.denominator
+                        total += m**i * weight * exp_mat[row, col] * sqrt_n ** gamma[0]
+        return total
+
+
+@pytest.mark.parametrize("include_mixed_term", [True, False])
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("k", [2, pytest.param(3, marks=pytest.mark.slow)])
+def test_extended_moment_matches_dense_reference(k, n, include_mixed_term):
+    cfg = SphereConfig(N=n, t=1.0, k=k, ell=6)
+    op = build_sphere_laplacian(cfg, include_mixed_term=include_mixed_term)
+    exp_mat = heat_apply_matexp(op, cfg.t, precision="extended")
+    for alpha in all_alphas(k, 6):
+        ref = dense_reference_moment(cfg, alpha, exp_mat, op.indexer)
+        res = heat_moment_monomial(
+            cfg, alpha, precision="extended", include_mixed_term=include_mixed_term
+        )
+        # 1e-40 covers the reference's own rounding where the moment is exactly zero
+        assert abs(res.value - ref) <= 1e-14 * abs(ref) + 1e-40, alpha
+        assert abs(res.value - ref) <= res.error_bound + 1e-40, alpha
+
+
+def test_extended_moment_builds_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the extended route must not use a dense operator")
+
+    monkeypatch.setattr(OperatorMatrix, "__init__", refuse)
+    monkeypatch.setattr(heatop, "build_sphere_laplacian", refuse)
+    monkeypatch.setattr(mpmath, "expm", refuse)
+    # the correctly rounded exact moments of x1^4 x2^2 at t = 1
+    for n, exact in ((32, 0.15434637790695147), (256, 0.13533309216925252)):
+        cfg = SphereConfig(N=n, t=1.0, k=2, ell=6)
+        assert heat_moment_monomial(cfg, (4, 2), precision="extended").value == exact
+    with pytest.raises(ValueError):
+        heat_moment_monomial(cfg, (4, 2), route="series", precision="extended")
+
+
+def test_extended_moment_of_three_variables_is_fast():
+    cfg = SphereConfig(N=64, t=1.0, k=3, ell=8)
+    start = time.perf_counter()
+    ext = heat_moment_monomial(cfg, (4, 2, 2), precision="extended")
+    assert time.perf_counter() - start < 1.0
+    dbl = heat_moment_monomial(cfg, (4, 2, 2))
+    assert abs(ext.value - dbl.value) <= dbl.error_bound
 
 
 def test_extended_precision_matches_double_when_well_conditioned():

@@ -13,6 +13,8 @@ from sphereheat.operators import (
     build_D,
     build_E,
     build_derivative_squared,
+    build_euler_first,
+    build_euler_rest,
     build_euler_var,
     build_hermite_limit,
     build_sphere_laplacian,
@@ -170,15 +172,18 @@ def test_laplacian_on_bilinear_monomial():
         assert lap.apply(mono(1, 1)) == Polynomial(2, {(1, 1): Fraction(-2)})
 
 
-def test_laplacian_equals_parts_plus_mixed():
-    cfg = SphereConfig(N=8, t=1.0, k=3, ell=4)
-    lap = build_sphere_laplacian(cfg)
-    split = build_sphere_laplacian(cfg, include_mixed_term=False)
+@pytest.mark.parametrize("include_mixed_term", [True, False])
+@pytest.mark.parametrize("n,k,ell", [(3, 1, 6), (8, 3, 4), (16, 3, 8), (1024, 2, 6)])
+def test_laplacian_equals_parts_plus_mixed(n, k, ell, include_mixed_term):
+    # the one-rule matrix against D + E - (2/N) R1 Ry composed from dense matrices
+    cfg = SphereConfig(N=n, t=1.0, k=k, ell=ell)
+    lap = build_sphere_laplacian(cfg, include_mixed_term=include_mixed_term)
     idx = lap.indexer
-    from sphereheat.operators import build_euler_first, build_euler_rest
-
-    mixed = (build_euler_first(idx) @ build_euler_rest(idx)).scale(Fraction(-2, 8))
-    assert lap.entries == (split + mixed).entries
+    composed = build_D(n, ell, k) + build_E(n, k, ell)
+    if include_mixed_term:
+        mixed = build_euler_first(idx) @ build_euler_rest(idx)
+        composed = composed + mixed.scale(Fraction(-2, n))
+    assert lap.entries == composed.entries
 
 
 def test_closure_block_lower_triangular():
