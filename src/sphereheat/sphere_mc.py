@@ -6,9 +6,31 @@ the tangential-projection walk, i.e. each step adds sqrt(h) times a
 standard Gaussian vector projected onto the tangent space and rescales back
 to radius sqrt(N).  The scheme's weak discretization bias is O(h).
 
-Randomness is counter-based: path p of a run seeded with s draws all its
-normals from a Philox generator keyed by (s, p), so estimates are bitwise
-reproducible no matter how paths are batched or distributed over workers.
+The walk runs on the reduced state (y, r), y = (x1..xk) and
+r = |x_(k+1..N)|, so a step costs O(k) whatever N is.  Split the step's
+Gaussian vector into g in R^k for y, one normal gamma along the tail's
+current direction, and the rest of the tail part, whose squared length is
+chi ~ chi^2_(N-k-1).  One step of length h is then
+
+    c   = (y.g + r gamma) / N
+    y'  = y + sqrt(h) (g - c y)
+    a   = r (1 - sqrt(h) c) + sqrt(h) gamma
+    r'2 = a^2 + h chi
+
+followed by rescaling y' and r' by sqrt(N) / sqrt(|y'|^2 + r'2).  This is
+the full walk's law exactly, also at r = 0: that law is invariant under
+rotations of the tail block, so the tail's direction is uniform and
+independent of (y, r), and the endpoint's tail is rebuilt once per path as
+r z / |z| with z ~ N(0, I_(N-k)).
+
+Randomness is counter-based: path p of a run seeded with s draws from a
+Philox stream keyed by (s, p), in a fixed order: normals of shape
+(steps, k+1) (g, then gamma, per step), then chisquare(N-k-1, steps)
+(skipped when N-k-1 = 0), then the N-k normals of z.  Estimates are
+therefore bitwise reproducible no matter how paths are batched or
+distributed over workers.  The coupled refinement
+(:func:`mc_refinement_diffs`) still walks in the full space, because its
+coarse increments are sums of fine N-dimensional ones.
 """
 
 from __future__ import annotations
@@ -24,6 +46,7 @@ import numpy as np
 from .operators import SphereConfig
 
 _BATCH = 1024  # paths per draw buffer; fixed so batching never affects results
+_STEP_BLOCK = 64  # steps transposed to step-major order at a time
 
 
 @dataclass(frozen=True)
@@ -98,6 +121,90 @@ def _walk(start: np.ndarray, normals: np.ndarray, steps: np.ndarray) -> np.ndarr
     return x
 
 
+def _path_streams(seed: int, lo: int, hi: int):
+    """The streams of paths lo..hi-1, equal bit for bit to :func:`path_generator`.
+
+    One Philox is built and its state reset to each key with a zero counter,
+    which is several times cheaper than building a keyed Philox per path.
+    The same generator object is yielded each time, so use each stream up
+    before advancing.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    high = (int(seed) % 2**64) * 2**64
+    for p in range(lo, hi):
+        key = high + p
+        state["state"]["key"] = np.array([key % 2**64, key >> 64], dtype=np.uint64)
+        bitgen.state = state
+        yield gen
+
+
+def _reduced_step(state: np.ndarray, g: np.ndarray, h_chi: np.ndarray, n: int):
+    """One step of the reduced walk on the (k+1, paths) ``state``, in place.
+
+    ``g`` holds sqrt(h) (g, gamma) and ``h_chi`` holds h chi, so
+    sqrt(h) c = state . g / N and the update is the module docstring's.
+    """
+    k = state.shape[0] - 1
+    c = state[0] * g[0]
+    for j in range(1, k + 1):
+        c += state[j] * g[j]
+    c /= n
+    state += g - c * state
+    r2 = state[k] * state[k]
+    r2 += h_chi
+    total = r2 + state[0] * state[0]
+    for j in range(1, k):
+        total += state[j] * state[j]
+    np.sqrt(r2, out=state[k])
+    state *= math.sqrt(n) / np.sqrt(total)
+
+
+def _reduced_endpoints(mc: McConfig, streams, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the endpoints of the paths drawn from ``streams``.
+
+    Row i of ``out`` (shape (paths, N)) gets the unshifted endpoint of the
+    walk driven by the i-th stream, read in the layout the module docstring
+    gives.  Every operation is elementwise across paths, so a row does not
+    depend on how many paths share the call.
+    """
+    cfg = mc.cfg
+    n, k = cfg.N, cfg.k
+    steps = mc.step_sizes()
+    count = out.shape[0]
+    dof = n - k - 1
+    normals = np.empty((count, len(steps), k + 1))
+    chi = np.zeros((count, len(steps)))
+    for i, gen in enumerate(streams):
+        gen.standard_normal(out=normals[i])
+        if dof:
+            chi[i] = gen.chisquare(dof, len(steps))
+        z = gen.standard_normal(n - k)
+        out[i, k:] = z / math.sqrt(np.sum(z * z))
+
+    root_h = np.sqrt(steps)
+    # rows y_1..y_k, then the tail's component along its own direction,
+    # which is r between steps
+    state = np.zeros((k + 1, count))
+    state[0] = math.sqrt(n)
+    g_block = np.empty((_STEP_BLOCK, k + 1, count))
+    chi_block = np.empty((_STEP_BLOCK, count))
+    for lo in range(0, len(steps), _STEP_BLOCK):
+        hi = min(lo + _STEP_BLOCK, len(steps))
+        # step-major and scaled: sqrt(h) (g, gamma) and h chi
+        g_steps = np.multiply(normals[:, lo:hi].transpose(1, 2, 0),
+                              root_h[lo:hi, None, None], out=g_block[: hi - lo])
+        chi_steps = np.multiply(chi[:, lo:hi].T, steps[lo:hi, None],
+                                out=chi_block[: hi - lo])
+        for g, h_chi in zip(g_steps, chi_steps):
+            _reduced_step(state, g, h_chi, n)
+    out[:, :k] = state[:k].T
+    out[:, k:] *= state[k][:, None]
+    out[:, 0] -= cfg.m
+    return out
+
+
 def simulate_endpoint(mc: McConfig, rng_stream: np.random.Generator) -> np.ndarray:
     """Endpoint of one path, in unshifted coordinates.
 
@@ -105,30 +212,12 @@ def simulate_endpoint(mc: McConfig, rng_stream: np.random.Generator) -> np.ndarr
     matches the corresponding path of a batched run bit for bit.  After the
     walk the first coordinate is translated by -m(t, N).
     """
-    cfg = mc.cfg
-    steps = mc.step_sizes()
-    start = np.zeros((1, cfg.N))
-    start[0, 0] = math.sqrt(cfg.N)
-    normals = rng_stream.standard_normal((1, len(steps), cfg.N))
-    end = _walk(start, normals, steps)[0]
-    end[0] -= cfg.m
-    return end
+    return _reduced_endpoints(mc, [rng_stream], np.empty((1, mc.cfg.N)))[0]
 
 
 def _endpoint_batch(mc: McConfig, lo: int, hi: int) -> np.ndarray:
-    cfg = mc.cfg
-    steps = mc.step_sizes()
-    count = hi - lo
-    start = np.zeros((count, cfg.N))
-    start[:, 0] = math.sqrt(cfg.N)
-    normals = np.empty((count, len(steps), cfg.N))
-    for i in range(count):
-        normals[i] = path_generator(mc.seed, lo + i).standard_normal(
-            (len(steps), cfg.N)
-        )
-    ends = _walk(start, normals, steps)
-    ends[:, 0] -= cfg.m
-    return ends
+    out = np.empty((hi - lo, mc.cfg.N))
+    return _reduced_endpoints(mc, _path_streams(mc.seed, lo, hi), out)
 
 
 def _worker_count(workers: int | None) -> int:
@@ -150,14 +239,17 @@ def mc_endpoints(mc: McConfig, workers: int | None = None) -> np.ndarray:
     ranges = [
         (lo, min(lo + _BATCH, mc.n_paths)) for lo in range(0, mc.n_paths, _BATCH)
     ]
+    out = np.empty((mc.n_paths, mc.cfg.N))
     nworkers = _worker_count(workers)
     if nworkers <= 1 or len(ranges) <= 1:
-        chunks = [_endpoint_batch(mc, lo, hi) for lo, hi in ranges]
+        for lo, hi in ranges:
+            _reduced_endpoints(mc, _path_streams(mc.seed, lo, hi), out[lo:hi])
     else:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             futures = [pool.submit(_endpoint_batch, mc, lo, hi) for lo, hi in ranges]
-            chunks = [f.result() for f in futures]
-    return np.concatenate(chunks, axis=0)
+            for (lo, hi), f in zip(ranges, futures):
+                out[lo:hi] = f.result()
+    return out
 
 
 def _monomial_values(points: np.ndarray, alpha: Sequence[int]) -> np.ndarray:
@@ -233,10 +325,8 @@ def mc_refinement_diffs(
     for lo, hi in ranges:
         count = hi - lo
         fine = np.empty((count, n_fine, cfg.N))
-        for i in range(count):
-            fine[i] = path_generator(mc.seed, lo + i).standard_normal(
-                (n_fine, cfg.N)
-            )
+        for i, gen in enumerate(_path_streams(mc.seed, lo, hi)):
+            fine[i] = gen.standard_normal((n_fine, cfg.N))
         # renormalized pairwise sums keep unit variance at coarser levels
         mid = (fine[:, 0::2, :] + fine[:, 1::2, :]) / math.sqrt(2.0)
         coarse = (mid[:, 0::2, :] + mid[:, 1::2, :]) / math.sqrt(2.0)

@@ -208,6 +208,16 @@ def test_mc_command(capsys):
     assert "estimate" in out and "matexp" in out and "O(step_h)" in out
 
 
+def test_mc_reference_is_exact_at_large_n(capsys):
+    # the double-precision matexp value here is -3948.5; the moment is 3.8257
+    rc = main(["mc", "--monomial", "12", "--N", "1024", "--t", "1",
+               "--paths", "2000", "--step", "1e-2", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    line = next(l for l in out.splitlines() if l.startswith("matexp"))
+    assert float(line.split("=")[1].split()[0]) == pytest.approx(3.82567147215084, rel=1e-13)
+
+
 def test_pde_command(capsys):
     rc = main(["pde", "--t", "1"])
     out = capsys.readouterr().out

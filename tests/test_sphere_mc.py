@@ -1,6 +1,7 @@
 """Monte Carlo oracle: determinism, geometry, and statistical agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from sphereheat.operators import SphereConfig
 from sphereheat.sphere_mc import (
     McConfig,
     McEstimate,
+    _path_streams,
+    _walk,
     mc_endpoints,
     mc_moment,
     mc_moments,
@@ -76,6 +79,41 @@ def test_single_path_matches_batched_run():
     for p in (0, 1023, 1024, 1099):
         single = simulate_endpoint(mc, path_generator(SEED, p))
         assert np.array_equal(single, ends[p])
+
+
+@pytest.mark.parametrize("seed, first", [(SEED, 0), (2**63 + 5, 2**32 - 1), (2**64 - 1, 2**40)])
+def test_reset_streams_equal_path_generator(seed, first):
+    for p, gen in enumerate(_path_streams(seed, first, first + 3), start=first):
+        ref = path_generator(seed, p)
+        assert np.array_equal(gen.standard_normal((5, 3)), ref.standard_normal((5, 3)))
+        assert np.array_equal(gen.chisquare(3, 4), ref.chisquare(3, 4))
+        assert np.array_equal(gen.bit_generator.random_raw(9), ref.bit_generator.random_raw(9))
+
+
+def test_refinement_differences_are_unchanged():
+    # values of the full-space coupled walk with one Philox built per path
+    mc = McConfig(cfg=SphereConfig(N=4, t=1.0, k=2, ell=2), step_h=0.1,
+                  n_paths=1100, seed=2**63 + 5)
+    d1, d2 = mc_refinement_diffs(mc, (2, 0))
+    assert d1.mean == float.fromhex("-0x1.d7b6c42d26ed6p-8")
+    assert d1.stderr == float.fromhex("0x1.cddc4f8afabbap-10")
+    assert d2.mean == float.fromhex("-0x1.c3423b387eb8dp-8")
+    assert d2.stderr == float.fromhex("0x1.3dddb2a1376a2p-10")
+
+
+def test_memory_does_not_grow_with_n_times_steps():
+    # a (paths, steps, N) draw buffer would take 4 GiB here
+    mc = McConfig(cfg=SphereConfig(N=4096, t=0.5, k=2, ell=2), step_h=1e-3,
+                  n_paths=256, seed=SEED)
+    assert len(mc.step_sizes()) == 500
+    tracemalloc.start()
+    try:
+        ends = mc_endpoints(mc, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ends.shape == (256, 4096)
+    assert peak < 4 * ends.nbytes
 
 
 def test_different_seeds_decorrelate():
@@ -148,6 +186,28 @@ def test_drift_of_shifted_coordinate():
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     assert abs(mean - math.exp(-1 / 3)) <= 3 * stderr + 2e-3
+
+
+@pytest.mark.parametrize("n", [3, 8, 32])
+def test_reduced_walk_has_the_projection_walks_law(n):
+    # same coarse step on both sides, so the O(h) bias must agree too
+    paths, chunk = 40_000, 4_000
+    cfg = SphereConfig(N=n, t=1.0, k=2, ell=4)
+    mc = McConfig(cfg=cfg, step_h=0.05, n_paths=paths, seed=SEED)
+    reduced = mc_endpoints(mc, workers=1)
+    steps = mc.step_sizes()
+    rng = np.random.default_rng(SEED + n)
+    full = np.empty((paths, n))
+    for lo in range(0, paths, chunk):
+        start = np.zeros((chunk, n))
+        start[:, 0] = math.sqrt(n)
+        full[lo:lo + chunk] = _walk(start, rng.standard_normal((chunk, len(steps), n)), steps)
+    full[:, 0] -= cfg.m
+    for alpha in [(a, b) for a in range(5) for b in range(5) if 1 <= a + b <= 4]:
+        e1 = mc_moment(mc, alpha, endpoints=reduced)
+        e2 = mc_moment(mc, alpha, endpoints=full)
+        z = (e1.mean - e2.mean) / math.hypot(e1.stderr, e2.stderr)
+        assert abs(z) <= 4, (alpha, e1, e2)
 
 
 def test_shared_ensemble_equals_individual_calls():
