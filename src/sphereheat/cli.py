@@ -66,7 +66,6 @@ class StudySpec:
     seed: int = 0
     out: str | None = None
     precision: str = "double"
-    degree: int | None = None
     k: int | None = None
 
     def __post_init__(self):
@@ -77,9 +76,10 @@ class StudySpec:
                 raise ValueError(f"unknown route {r!r}")
         if any(t <= 0 for t in self.t_values):
             raise ValueError("t values must be positive")
+        if self.precision not in ("double", "extended"):
+            raise ValueError(f"unknown precision {self.precision!r}")
         self.k = self.k or max(len(a) for a in self.monomials)
         self.monomials = [tuple(a) + (0,) * (self.k - len(a)) for a in self.monomials]
-        self.degree = self.degree or max(sum(a) for a in self.monomials)
         for n in self.n_values:
             if n <= self.k:
                 raise ValueError(f"N={n} must exceed k={self.k}")
@@ -121,7 +121,7 @@ def _route_value(
     spec: StudySpec, alpha: tuple[int, ...], n: int, t: float, route: str
 ) -> tuple[float | None, float | None, str | None]:
     """(value, stderr, reason); value None marks a failed route, reason says why."""
-    cfg = SphereConfig(N=n, t=t, k=spec.k, ell=spec.degree)
+    cfg = SphereConfig(N=n, t=t, k=spec.k, ell=max(map(sum, spec.monomials)))
     try:
         if route == "mc":
             mc = McConfig(cfg=cfg, step_h=spec.step, n_paths=spec.paths, seed=spec.seed)
@@ -222,7 +222,6 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "N": _parse_int_list,
         "t": _parse_float_list,
         "k": int,
-        "degree": int,
         "monomial": None,  # handled below (repeatable)
         "routes": lambda s: s.split(","),
         "paths": int,
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=_parse_int_list, help="sphere parameter(s), comma list")
         p.add_argument("--t", type=_parse_float_list, help="time value(s), comma list")
         p.add_argument("--k", type=int, help="number of coordinates (default: monomial length)")
-        p.add_argument("--degree", type=int, help="degree cap (default: monomial degree)")
         if with_routes:
             p.add_argument("--routes", type=lambda s: s.split(","),
                            help=f"subset of {','.join(ALL_ROUTES)}")
@@ -300,7 +298,6 @@ def _make_spec(args, defaults_routes) -> StudySpec:
         seed=args.seed if args.seed is not None else 0,
         out=args.out,
         precision=args.precision or "double",
-        degree=args.degree,
         k=args.k,
     )
 
@@ -363,7 +360,7 @@ def cmd_mc(args) -> int:
     alpha = tuple(alpha) + (0,) * (k - len(alpha))
     n = (args.N or [8])[0]
     t = (args.t or [1.0])[0]
-    cfg = SphereConfig(N=n, t=t, k=k, ell=args.degree or max(2, sum(alpha)))
+    cfg = SphereConfig(N=n, t=t, k=k, ell=sum(alpha))
     mc = McConfig(
         cfg=cfg,
         step_h=args.step if args.step is not None else 1e-3,
@@ -405,21 +402,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_config(args, parser)
+    commands = {"moment": cmd_moment, "study": cmd_study, "verify": cmd_verify,
+                "mc": cmd_mc, "pde": cmd_pde}
     try:
-        if args.command == "moment":
-            return cmd_moment(args)
-        if args.command == "study":
-            return cmd_study(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "mc":
-            return cmd_mc(args)
-        if args.command == "pde":
-            return cmd_pde(args)
+        return commands[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

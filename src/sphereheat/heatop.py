@@ -1,19 +1,20 @@
 """Heat-operator moments of polynomials on the shifted sphere.
 
 The heat operator applied to a polynomial f of the first k coordinates is
-computed as (exp((t/2) L) f) evaluated at the base point, where L is the
-exact sphere Laplacian matrix from :mod:`sphereheat.operators` and the base
-point has first shifted coordinate sqrt(N) and zeros elsewhere.
+computed as (exp((t/2) L) f) evaluated at the base point (first shifted
+coordinate sqrt(N), zeros elsewhere), where L is the sphere Laplacian of
+:mod:`sphereheat.operators`.  L keeps a monomial on its diagonal and
+otherwise lowers one exponent by two, so every route works on the monomials
+L reaches from the shifted parts of f, with their closed-form images:
 
-Two independent numeric routes are provided and cross-checked:
-
-* ``series``: the truncated exponential power series with a rigorous
-  geometric tail bound in the induced 1-norm, and
+* ``series``: the truncated exponential power series, with a rigorous
+  geometric tail bound in the exact induced 1-norm;
 * ``matexp``: a scaling-and-squaring matrix exponential.  With
-  ``precision="extended"`` it is instead the exact moment of the same
-  operator, solved without a matrix on the monomials the sphere rule
-  reaches from each shifted monomial, and evaluated once at the digits its
-  largest term needs.
+  ``precision="extended"`` it is instead the exact moment, solved by a
+  triangular recursion and evaluated at the digits its largest term needs.
+
+:func:`heat_apply_series` and :func:`heat_apply_matexp` apply the same
+exponentials to polynomials through a dense operator matrix.
 
 A third, closed-form route for pure first-coordinate monomials lives in
 :mod:`sphereheat.eigenmethod`, and a stochastic one in
@@ -25,14 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 import numpy as np
 from scipy.linalg import expm
 
 from .eigenmethod import evaluate_exp_sum
-from .operators import OperatorMatrix, SphereConfig, _sphere_rule, build_sphere_laplacian
+from .operators import OperatorMatrix, SphereConfig, _sphere_image
 from .polyalg import Exponents, Polynomial, shift_first_variable_powers
 
 
@@ -95,21 +95,21 @@ def heat_apply_series(
     if tol <= 0:
         raise ValueError("tol must be positive")
     start = np.array([float(c) for c in op.indexer.to_vector(f)])
-    vec, _ = _series_evolve(op, t, start, tol, max_terms)
+    vec, _ = _series_evolve(op.to_float(), float(op.one_norm()), t, start, tol, max_terms)
     return op.indexer.from_vector(vec.tolist())
 
 
 def _series_evolve(
-    op: OperatorMatrix,
+    mat: np.ndarray,
+    norm: float,
     t: float,
     vec: np.ndarray,
     tol: float,
     max_terms: int = 20000,
 ) -> tuple[np.ndarray, float]:
-    """Series sum and the certified remainder bound for the result vector."""
-    mat = op.to_float()
+    """Series sum and its certified remainder bound; ``norm`` is ``mat``'s exact 1-norm."""
     half_t = 0.5 * t
-    a = half_t * float(op.one_norm())
+    a = half_t * norm
     fnorm = float(np.sum(np.abs(vec)))
     total = vec.astype(float).copy()
     term = vec.astype(float).copy()
@@ -149,21 +149,23 @@ def heat_apply_matexp(op: OperatorMatrix, t: float, precision: str = "double"):
     raise ValueError(f"unknown precision {precision!r}")
 
 
-def _evaluate_at_pole(indexer, vec, sqrt_n) -> float:
-    """Evaluate a basis coefficient vector at (sqrt(N), 0, ..., 0).
+def _lattice(
+    N: int, parts: list[Polynomial], include_mixed_term: bool
+) -> dict[Exponents, dict[Exponents, Fraction]]:
+    """The rule image of every monomial L reaches from the parts, lowest degree first.
 
-    Only pure first-variable monomials survive; the first coordinate is the
-    working-precision sqrt(N), never reconstructed through the drift m, so
-    small-t cancellation cannot occur here.
+    L keeps a monomial's degree on the diagonal and otherwise lowers one
+    exponent by two, so these monomials span a subspace that L maps into
+    itself, and each image refers only to monomials listed before it.
     """
-    contributions = []
-    for i, alpha in enumerate(indexer):
-        if any(alpha[1:]):
-            continue
-        c = vec[i]
-        if c != 0:
-            contributions.append(float(c) * sqrt_n ** alpha[0])
-    return math.fsum(contributions)
+    images: dict[Exponents, dict[Exponents, Fraction]] = {}
+    todo = [beta for g in parts for beta in g.terms]
+    while todo:
+        c = todo.pop()
+        if c not in images:
+            images[c] = _sphere_image(N, c, include_mixed_term)
+            todo.extend(images[c])
+    return dict(sorted(images.items(), key=lambda item: (sum(item[0]), item[0])))
 
 
 def heat_moment(
@@ -178,8 +180,11 @@ def heat_moment(
 
     Pipeline: rewrite f(x1, ...) in the shifted frame as a combination of
     rational polynomials times powers of the drift m, evolve each part by
-    exp((t/2) L), evaluate at the base point, and recombine with compensated
-    summation.  ``include_mixed_term=False`` replaces L by the decoupled
+    exp((t/2) L) on the monomials L reaches from the parts, evaluate at the
+    base point, and recombine with compensated summation.  The bounds and
+    the series tolerance scale with sqrt(N)^deg f, the largest value a
+    monomial of that set takes at the base point, so no result depends on
+    ``cfg.ell``.  ``include_mixed_term=False`` replaces L by the decoupled
     D + E operator (used to measure the mixed term's 1/N influence).
     """
     if f.varcount != cfg.k:
@@ -188,28 +193,38 @@ def heat_moment(
         raise ValueError(f"degree {f.degree()} exceeds basis cap {cfg.ell}")
     if route not in ("matexp", "series"):
         raise ValueError(f"unsupported route {route!r} for the operator pipeline")
+    if precision not in ("double", "extended"):
+        raise ValueError(f"unknown precision {precision!r}")
+    if precision == "extended" and route != "matexp":
+        raise ValueError("extended precision is provided for the matexp route")
 
     alpha = next(iter(f.terms)) if len(f.terms) == 1 else None
     parts = shift_first_variable_powers(f)
+    images = _lattice(cfg.N, parts, include_mixed_term)
     if precision == "extended":
-        if route != "matexp":
-            raise ValueError("extended precision is provided for the matexp route")
-        value, bound = _extended_moment(cfg, parts, include_mixed_term)
+        value, bound = _extended_moment(cfg, parts, images)
         return MomentResult(value, route, bound, cfg, alpha)
-    if precision != "double":
-        raise ValueError(f"unknown precision {precision!r}")
 
-    op = build_sphere_laplacian(cfg, include_mixed_term=include_mixed_term)
+    index = {c: i for i, c in enumerate(images)}
+    mat = np.zeros((len(index), len(index)))
+    for c, image in images.items():
+        for beta, w in image.items():
+            mat[index[beta], index[c]] = w
+    norm = float(max(sum(map(abs, image.values())) for image in images.values()))
 
+    # the base point: only pure first-variable monomials survive, and they
+    # see the working-precision sqrt(N), never one rebuilt through the drift m
     sqrt_n = math.sqrt(cfg.N)
+    pole = np.array([0.0 if any(c[1:]) else sqrt_n ** c[0] for c in images])
     m = cfg.m
-    exp_mat = heat_apply_matexp(op, cfg.t) if route == "matexp" else None
+    exp_mat = expm(0.5 * cfg.t * mat) if route == "matexp" else None
 
-    values = []
-    bounds = []
-    scale_out = sqrt_n**cfg.ell  # evaluation functional 1-norm bound
+    values, bounds = [], []
+    scale_out = sqrt_n ** f.degree()  # evaluation functional 1-norm bound
     for i, g in enumerate(parts):
-        vec = np.array([float(c) for c in op.indexer.to_vector(g)])
+        vec = np.zeros(len(index))
+        for beta, coeff in g.terms.items():
+            vec[index[beta]] = coeff
         if route == "matexp":
             evolved = exp_mat @ vec
             bound = 1e-13 * float(np.sum(np.abs(evolved))) * scale_out
@@ -217,20 +232,14 @@ def heat_moment(
             # Shrink the inner tolerance so the certified truncation bound
             # still meets tol after the pole evaluation and drift powers.
             inner_tol = tol / (len(parts) * scale_out * max(1.0, m) ** i)
-            evolved, tail = _series_evolve(op, cfg.t, vec, inner_tol)
+            evolved, tail = _series_evolve(mat, norm, cfg.t, vec, inner_tol)
             bound = tail * scale_out
-        values.append(m**i * _evaluate_at_pole(op.indexer, evolved, sqrt_n))
+        values.append(m**i * math.fsum(evolved * pole))
         bounds.append(m**i * bound)
-    return MomentResult(
-        value=math.fsum(values),
-        route=route,
-        error_bound=math.fsum(bounds),
-        config=cfg,
-        monomial=alpha,
-    )
+    return MomentResult(math.fsum(values), route, math.fsum(bounds), cfg, alpha)
 
 
-def _extended_moment(cfg, parts, include_mixed_term) -> tuple[float, float]:
+def _extended_moment(cfg, parts, images) -> tuple[float, float]:
     """Exact moment on the reachable lattice, evaluated at the digits it needs.
 
     h_c, the value of exp((t/2) L) y^c at the base point, solves
@@ -242,29 +251,27 @@ def _extended_moment(cfg, parts, include_mixed_term) -> tuple[float, float]:
     the drift power m^i shifts a key by (i, i, i).
     """
     N = cfg.N
-    rule = _sphere_rule(N, cfg.k, include_mixed_term)
-
-    @lru_cache(maxsize=None)
-    def at_pole(c: Exponents) -> dict[tuple[int, int, int], Fraction]:
-        image = dict(rule(Polynomial.monomial(c)).terms)
-        rate = image.pop(c, Fraction(0))
-        q = (rate + sum(c)) * N
-        assert q.denominator == 1, f"rate {rate} is not -s + q/N"
+    at_pole: dict[Exponents, dict[tuple[int, int, int], Fraction]] = {}
+    for c, image in images.items():  # lowered monomials come first
+        rate = image[c]
         terms: dict[tuple[int, int, int], Fraction] = {}
         for lower, coeff in image.items():
-            for (s2, q2, p), w in at_pole(lower).items():
+            if lower == c:
+                continue
+            for (s2, q2, p), w in at_pole[lower].items():
                 gap = Fraction(q2, N) - s2 - rate
                 terms[s2, q2, p] = terms.get((s2, q2, p), 0) + coeff * w / gap
         start = {} if any(c[1:]) else {c[0]: Fraction(1)}
         for (_, _, p), w in terms.items():
             start[p] = start.get(p, 0) - w
-        terms.update(((sum(c), int(q), p), w) for p, w in start.items())
-        return {key: w for key, w in terms.items() if w}
+        q = int((rate + sum(c)) * N)
+        terms.update(((sum(c), q, p), w) for p, w in start.items())
+        at_pole[c] = {key: w for key, w in terms.items() if w}
 
-    terms: dict[tuple[int, int, int], Fraction] = {}
+    terms = {}
     for i, g in enumerate(parts):
         for beta, coeff in g.terms.items():
-            for (s, q, p), w in at_pole(beta).items():
+            for (s, q, p), w in at_pole[beta].items():
                 terms[s + i, q + i, p + i] = terms.get((s + i, q + i, p + i), 0) + coeff * w
     return evaluate_exp_sum({k: w for k, w in terms.items() if w}, N, cfg.t)
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polyalg import BasisIndexer, Polynomial
+from .polyalg import BasisIndexer, Exponents, Polynomial
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,9 @@ class SphereConfig:
 
     N is the squared sphere radius (and ambient dimension proxy), t the
     diffusion time, k how many coordinates observables may use, ell the
-    degree cap of the polynomial space.  Requires k < N so that the sphere
+    largest degree an observable may have.  Moments only check their degree
+    against ell and do not otherwise depend on it; the dense builders use it
+    as the degree cap of their basis.  Requires k < N so that the sphere
     operator is a well-defined self-map of the k-variable polynomials.
     """
 
@@ -265,21 +267,36 @@ def _rest_part_rule(N: int, varcount: int) -> Callable[[Polynomial], Polynomial]
     return rule
 
 
+def _sphere_image(
+    N: int, alpha: Exponents, include_mixed_term: bool
+) -> dict[Exponents, Fraction]:
+    """L x^alpha in closed form, L = D + E - (2/N) R1 Ry (or D + E).
+
+    With a = alpha_1, b the degree in the other variables and d = a + b, the
+    diagonal coefficient is -d + q/N, q = 2d - a^2 - b^2 - 2ab (the last
+    term only with the mixed term, giving the rate -d (1 + (d-2)/N)); every
+    other term is alpha_j (alpha_j - 1) x^(alpha - 2 e_j).
+    """
+    a, b = alpha[0], sum(alpha[1:])
+    q = 2 * (a + b) - a * a - b * b - (2 * a * b if include_mixed_term else 0)
+    image = {alpha: Fraction(q, N) - a - b}
+    for j, e in enumerate(alpha):
+        if e >= 2:
+            image[alpha[:j] + (e - 2,) + alpha[j + 1:]] = Fraction(e * (e - 1))
+    return image
+
+
 def _sphere_rule(
     N: int, varcount: int, include_mixed_term: bool
 ) -> Callable[[Polynomial], Polynomial]:
-    """L = D + E - (2/N) R1 Ry, or D + E without the mixed term.
-
-    On x^alpha of total degree d the diagonal coefficient is the rate
-    -d (1 + (d-2)/N) (with the mixed term); every other image term lowers
-    one exponent by two.
-    """
-    first, rest_part = _first_part_rule(N), _rest_part_rule(N, varcount)
-    rest = list(range(1, varcount))
-    mixed = Fraction(-2, N) if include_mixed_term else 0
+    """:func:`_sphere_image`, extended linearly to polynomials."""
 
     def rule(p: Polynomial) -> Polynomial:
-        return first(p) + rest_part(p) + mixed * euler_apply(euler_apply(p, rest), [0])
+        out: dict[Exponents, Fraction] = {}
+        for alpha, c in p.terms.items():
+            for beta, w in _sphere_image(N, alpha, include_mixed_term).items():
+                out[beta] = out.get(beta, 0) + c * w
+        return Polynomial(varcount, out)
 
     return rule
 
@@ -341,21 +358,6 @@ def build_hermite_limit(k: int, ell: int) -> OperatorMatrix:
     """Hermite operator sum_{j>=2} dj^2 - Ry, the entrywise large-N limit of E."""
     indexer = BasisIndexer(k, ell)
     return operator_from_rule(indexer, _hermite_rule(k), "Hermite", (None, k, ell))
-
-
-def build_euler_first(indexer: BasisIndexer) -> OperatorMatrix:
-    """Euler operator x1 d1 of the first variable (diagonal in the basis)."""
-    return operator_from_rule(
-        indexer, lambda p: euler_apply(p, [0]), "R1", (None, indexer.varcount, indexer.max_degree)
-    )
-
-
-def build_euler_rest(indexer: BasisIndexer) -> OperatorMatrix:
-    """Euler operator of the variables beyond the first (diagonal)."""
-    rest = list(range(1, indexer.varcount))
-    return operator_from_rule(
-        indexer, lambda p: euler_apply(p, rest), "Ry", (None, indexer.varcount, indexer.max_degree)
-    )
 
 
 def build_derivative_squared(indexer: BasisIndexer, index: int) -> OperatorMatrix:

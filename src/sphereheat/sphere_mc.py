@@ -57,7 +57,6 @@ class McConfig:
     step_h: float
     n_paths: int
     seed: int
-    scheme: str = "tangential-projection"
 
     def __post_init__(self):
         if self.step_h <= 0:
@@ -66,8 +65,6 @@ class McConfig:
             raise ValueError("step_h must not exceed t")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.scheme != "tangential-projection":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def step_sizes(self) -> np.ndarray:
         """Step lengths summing exactly to t (last one possibly shorter)."""
@@ -286,14 +283,6 @@ def mc_moment(
     if endpoints is None:
         endpoints = mc_endpoints(mc, workers=workers)
     return _estimate(_monomial_values(endpoints, alpha))
-
-
-def mc_moments(
-    mc: McConfig, alphas: Sequence[Sequence[int]], workers: int | None = None
-) -> list[McEstimate]:
-    """Estimates for several monomials sharing one endpoint ensemble."""
-    endpoints = mc_endpoints(mc, workers=workers)
-    return [mc_moment(mc, a, endpoints=endpoints) for a in alphas]
 
 
 def mc_refinement_diffs(

@@ -178,6 +178,29 @@ def test_explicit_flags_override_config(tmp_path):
     assert len(lines) == 2 and lines[1].startswith('"2,0",32,')
 
 
+def test_config_precision_is_checked_like_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("N=8\nt=1\nroutes=matexp\nmonomial=2,0\nprecision=single\n")
+    out = tmp_path / "rows.csv"
+    assert main(["study", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown precision 'single'" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--monomial", "2,0", "--precision", "single"])
+    assert exc.value.code == 2
+
+
+def test_degree_option_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--monomial", "2,0", "--degree", "6"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("monomial=2,0\ndegree=6\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", str(cfg)])
+    assert exc.value.code == 2
+
+
 def test_verify_subcommand_exit_zero(capsys):
     rc = main(["verify", "operators"])
     out = capsys.readouterr().out

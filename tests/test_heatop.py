@@ -22,7 +22,7 @@ from sphereheat.operators import (
     build_D,
     build_sphere_laplacian,
 )
-from sphereheat import heatop
+from sphereheat import operators
 from sphereheat.polyalg import BasisIndexer, Polynomial, shift_first_variable_powers
 
 
@@ -255,18 +255,34 @@ def test_extended_moment_matches_dense_reference(k, n, include_mixed_term):
 
 
 def test_extended_moment_builds_no_matrix(monkeypatch):
+    # no route or precision of a moment touches the dense degree-ell operator
     def refuse(*args, **kwargs):
-        raise AssertionError("the extended route must not use a dense operator")
+        raise AssertionError("moments must not use a dense operator")
 
-    monkeypatch.setattr(OperatorMatrix, "__init__", refuse)
-    monkeypatch.setattr(heatop, "build_sphere_laplacian", refuse)
-    monkeypatch.setattr(mpmath, "expm", refuse)
+    for owner, name in ((OperatorMatrix, "__init__"), (BasisIndexer, "__init__"),
+                        (operators, "build_sphere_laplacian"),
+                        (operators, "_laplacian_cached"), (mpmath, "expm")):
+        monkeypatch.setattr(owner, name, refuse)
     # the correctly rounded exact moments of x1^4 x2^2 at t = 1
     for n, exact in ((32, 0.15434637790695147), (256, 0.13533309216925252)):
         cfg = SphereConfig(N=n, t=1.0, k=2, ell=6)
         assert heat_moment_monomial(cfg, (4, 2), precision="extended").value == exact
+        for route in ("matexp", "series"):
+            # the double bounds do not cover rounding yet, so they are not checked here
+            assert heat_moment_monomial(cfg, (4, 2), route=route).value == pytest.approx(
+                exact, rel=1e-9), route
     with pytest.raises(ValueError):
         heat_moment_monomial(cfg, (4, 2), route="series", precision="extended")
+
+
+@pytest.mark.parametrize("route", ["matexp", "series"])
+@pytest.mark.parametrize("alpha,n", [((8,), 64), ((4, 2, 2), 16)])
+def test_moment_does_not_depend_on_the_degree_cap(alpha, n, route):
+    a, b = (
+        heat_moment_monomial(SphereConfig(N=n, t=1.0, k=len(alpha), ell=ell), alpha, route=route)
+        for ell in (sum(alpha), sum(alpha) + 6)
+    )
+    assert (a.value, a.error_bound) == (b.value, b.error_bound)
 
 
 def test_extended_moment_of_three_variables_is_fast():

@@ -13,8 +13,6 @@ from sphereheat.operators import (
     build_D,
     build_E,
     build_derivative_squared,
-    build_euler_first,
-    build_euler_rest,
     build_euler_var,
     build_hermite_limit,
     build_sphere_laplacian,
@@ -175,13 +173,14 @@ def test_laplacian_on_bilinear_monomial():
 @pytest.mark.parametrize("include_mixed_term", [True, False])
 @pytest.mark.parametrize("n,k,ell", [(3, 1, 6), (8, 3, 4), (16, 3, 8), (1024, 2, 6)])
 def test_laplacian_equals_parts_plus_mixed(n, k, ell, include_mixed_term):
-    # the one-rule matrix against D + E - (2/N) R1 Ry composed from dense matrices
+    # the closed-form rule against D + E - (2/N) R1 Ry composed from the part
+    # rules behind build_D and build_E and the dense x_j d_j matrices
     cfg = SphereConfig(N=n, t=1.0, k=k, ell=ell)
     lap = build_sphere_laplacian(cfg, include_mixed_term=include_mixed_term)
     idx = lap.indexer
     composed = build_D(n, ell, k) + build_E(n, k, ell)
-    if include_mixed_term:
-        mixed = build_euler_first(idx) @ build_euler_rest(idx)
+    for j in range(1, k if include_mixed_term else 1):
+        mixed = build_euler_var(idx, 0) @ build_euler_var(idx, j)
         composed = composed + mixed.scale(Fraction(-2, n))
     assert lap.entries == composed.entries
 

@@ -15,7 +15,6 @@ from sphereheat.sphere_mc import (
     _walk,
     mc_endpoints,
     mc_moment,
-    mc_moments,
     mc_refinement_diffs,
     path_generator,
     simulate_endpoint,
@@ -130,9 +129,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_mc(paths=0)
     with pytest.raises(ValueError):
-        McConfig(cfg=SphereConfig(N=6, t=0.5, k=2, ell=2), step_h=1e-3,
-                 n_paths=10, seed=0, scheme="euler")
-    with pytest.raises(ValueError):
         McEstimate(mean=0.0, stderr=-1.0, n_paths=10)
     with pytest.raises(ValueError):
         mc_moment(make_mc(k=2), (0, 0, 2))
@@ -212,9 +208,9 @@ def test_reduced_walk_has_the_projection_walks_law(n):
 
 def test_shared_ensemble_equals_individual_calls():
     mc = make_mc(paths=1000)
-    batch = mc_moments(mc, [(1, 0), (0, 2)])
-    assert batch[0] == mc_moment(mc, (1, 0))
-    assert batch[1] == mc_moment(mc, (0, 2))
+    endpoints = mc_endpoints(mc)
+    for alpha in ((1, 0), (0, 2)):
+        assert mc_moment(mc, alpha, endpoints=endpoints) == mc_moment(mc, alpha)
 
 
 def test_discretization_bias_is_first_order():
