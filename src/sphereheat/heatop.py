@@ -7,8 +7,9 @@ coordinate sqrt(N), zeros elsewhere), where L is the sphere Laplacian of
 otherwise lowers one exponent by two, so every route works on the monomials
 L reaches from the shifted parts of f, with their closed-form images:
 
-* ``series``: the truncated exponential power series, with a rigorous
-  geometric tail bound in the exact induced 1-norm;
+* ``series``: the truncated exponential power series, run for all shifted
+  parts at once; its bound is a proven geometric tail bound in the exact
+  induced 1-norm plus a rounding estimate;
 * ``matexp``: a scaling-and-squaring matrix exponential.  With
   ``precision="extended"`` it is instead the exact moment, solved by a
   triangular recursion and evaluated at the digits its largest term needs.
@@ -23,6 +24,7 @@ A third, closed-form route for pure first-coordinate monomials lives in
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,17 +39,17 @@ from .polyalg import Exponents, Polynomial, shift_first_variable_powers
 
 
 class SeriesToleranceError(RuntimeError):
-    """The power series could not certify the requested tolerance."""
+    """The power series could not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
 class MomentResult:
     """A heat-kernel moment with provenance.
 
-    ``error_bound`` is a proven tail majorant for the series route, a
-    machine-precision estimate for the matexp route, half an ulp plus the
-    evaluation error for extended precision, and a standard error for
-    Monte Carlo.
+    ``error_bound`` is a proven tail + rounding estimate for the series
+    route, a machine-precision estimate for the matexp route, half an ulp
+    plus the evaluation error for extended precision, and a standard error
+    for Monte Carlo.
     """
 
     value: float
@@ -94,37 +96,59 @@ def heat_apply_series(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    start = np.array([float(c) for c in op.indexer.to_vector(f)])
-    vec, _ = _series_evolve(op.to_float(), float(op.one_norm()), t, start, tol, max_terms)
-    return op.indexer.from_vector(vec.tolist())
+    start = np.array([[float(c)] for c in op.indexer.to_vector(f)])
+    sums, _, _ = _series_evolve(op.to_float(), float(op.one_norm()), t, start, [tol], max_terms)
+    return op.indexer.from_vector(sums[:, 0].tolist())
+
+
+def _series_stop(a: float, fnorm: float, tol: float, max_terms: int) -> int:
+    """First n >= 1 with fnorm * tail(a, n) <= tol, found by bisection.
+
+    The tail bound is infinite while n + 2 <= a and strictly decreasing
+    after, so once the condition holds it holds for every larger n.
+    """
+    met = lambda n: fnorm * _series_tail_bound(a, n) <= tol  # noqa: E731
+    n = bisect.bisect_left(range(1, max_terms + 1), True, key=met) + 1
+    if n > max_terms:
+        raise SeriesToleranceError(f"series did not reach tol={tol} within {max_terms} "
+                                   f"terms (scaled operator norm {a:.3g})")
+    return n
 
 
 def _series_evolve(
     mat: np.ndarray,
     norm: float,
     t: float,
-    vec: np.ndarray,
-    tol: float,
+    block: np.ndarray,
+    tols: list[float],
     max_terms: int = 20000,
-) -> tuple[np.ndarray, float]:
-    """Series sum and its certified remainder bound; ``norm`` is ``mat``'s exact 1-norm."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Series sums of exp((t/2) mat) on each column of ``block``, to its own tolerance.
+
+    ``norm`` is ``mat``'s exact 1-norm.  Every column stops at the first term
+    whose proven remainder bound meets its tolerance; one ``mat @ block``
+    recursion runs to the latest stop.  Returns the sums, each column's
+    remainder bound, and sum_n |term_n| (from n = 0) for rounding estimates.
+    A zero column, or t = 0, takes no term and has a zero bound.
+    """
     half_t = 0.5 * t
     a = half_t * norm
-    fnorm = float(np.sum(np.abs(vec)))
-    total = vec.astype(float).copy()
-    term = vec.astype(float).copy()
-    if t == 0 or fnorm == 0.0:
-        return total, 0.0
-    for n in range(1, max_terms + 1):
-        term = (half_t / n) * (mat @ term)
+    fnorms = np.sum(np.abs(block), axis=0)
+    stops = np.array([0 if t == 0 or fn == 0.0 else _series_stop(a, fn, tol, max_terms)
+                      for fn, tol in zip(fnorms, tols)], dtype=int)
+    tails = np.array([fn * _series_tail_bound(a, n) if n else 0.0
+                      for fn, n in zip(fnorms, stops)])
+    term = np.where(stops > 0, block, 0.0)
+    total, abs_total = block.astype(float), np.abs(block)
+    ends = set(stops.tolist())
+    for n in range(1, max(ends, default=0) + 1):
+        term = mat @ term
+        term *= half_t / n
         total += term
-        bound = fnorm * _series_tail_bound(a, n)
-        if bound <= tol:
-            return total, bound
-    raise SeriesToleranceError(
-        f"series did not certify tol={tol} within {max_terms} terms "
-        f"(scaled operator norm {a:.3g})"
-    )
+        abs_total += np.abs(term)
+        if n in ends:  # a column past its stop adds nothing more
+            term[:, stops == n] = 0.0
+    return total, tails, abs_total
 
 
 def heat_apply_matexp(op: OperatorMatrix, t: float, precision: str = "double"):
@@ -217,25 +241,25 @@ def heat_moment(
     sqrt_n = math.sqrt(cfg.N)
     pole = np.array([0.0 if any(c[1:]) else sqrt_n ** c[0] for c in images])
     m = cfg.m
-    exp_mat = expm(0.5 * cfg.t * mat) if route == "matexp" else None
-
-    values, bounds = [], []
-    scale_out = sqrt_n ** f.degree()  # evaluation functional 1-norm bound
+    block = np.zeros((len(index), len(parts)), order="F")  # column i: the part of m^i
     for i, g in enumerate(parts):
-        vec = np.zeros(len(index))
         for beta, coeff in g.terms.items():
-            vec[index[beta]] = coeff
-        if route == "matexp":
-            evolved = exp_mat @ vec
-            bound = 1e-13 * float(np.sum(np.abs(evolved))) * scale_out
-        else:
-            # Shrink the inner tolerance so the certified truncation bound
-            # still meets tol after the pole evaluation and drift powers.
-            inner_tol = tol / (len(parts) * scale_out * max(1.0, m) ** i)
-            evolved, tail = _series_evolve(mat, norm, cfg.t, vec, inner_tol)
-            bound = tail * scale_out
-        values.append(m**i * math.fsum(evolved * pole))
-        bounds.append(m**i * bound)
+            block[index[beta], i] = coeff
+    scale_out = sqrt_n ** f.degree()  # evaluation functional 1-norm bound
+    if route == "matexp":
+        exp_mat = expm(0.5 * cfg.t * mat)
+        evolved = [exp_mat @ block[:, i] for i in range(len(parts))]
+        part_bounds = [1e-13 * float(np.sum(np.abs(v))) * scale_out for v in evolved]
+    else:
+        # Shrink the inner tolerance so the proven truncation bound still
+        # meets tol after the pole evaluation and drift powers.
+        tols = [tol / (len(parts) * scale_out * max(1.0, m) ** i) for i in range(len(parts))]
+        sums, tails, abs_sums = _series_evolve(mat, norm, cfg.t, block, tols)
+        evolved = sums.T
+        # rounding estimate: u (d + 2) times the pole-weighted sum of |term_n|
+        part_bounds = tails * scale_out + 2.0**-53 * (len(index) + 2) * (pole @ abs_sums)
+    values = [m**i * math.fsum(v * pole) for i, v in enumerate(evolved)]
+    bounds = [m**i * b for i, b in enumerate(part_bounds)]
     return MomentResult(math.fsum(values), route, math.fsum(bounds), cfg, alpha)
 
 

@@ -43,6 +43,21 @@ def test_study_rows_canonical_order_and_rate():
         assert 1.6 <= a / b <= 2.4
 
 
+def test_study_rate_is_one_half_when_only_the_first_exponent_is_odd():
+    spec = StudySpec(
+        monomials=[(3,), (1, 2), (2,)],
+        n_values=[256, 1024, 4096],
+        t_values=[1.0],
+        routes=["matexp"],
+        precision="extended",
+    )
+    rates = {r.monomial: r.fitted_rate for r in run_study(spec) if r.fitted_rate is not None}
+    assert rates.keys() == {(3, 0), (1, 2), (2, 0)}
+    assert abs(rates[3, 0] - 0.5) <= 0.02
+    assert abs(rates[1, 2] - 0.5) <= 0.02
+    assert abs(rates[2, 0] - 1.0) <= 0.02
+
+
 def test_study_exact_rest_moment_has_zero_error():
     spec = StudySpec(
         monomials=[(0, 2)],

@@ -1,6 +1,7 @@
 """Cross-checked numeric routes for the heat-operator moments."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -11,6 +12,9 @@ import pytest
 from sphereheat.heatop import (
     MomentResult,
     SeriesToleranceError,
+    _series_evolve,
+    _series_stop,
+    _series_tail_bound,
     heat_apply_matexp,
     heat_apply_series,
     heat_moment,
@@ -61,6 +65,38 @@ def test_series_unreachable_tolerance_raises():
     d_op = build_D(4, 8)
     with pytest.raises(SeriesToleranceError):
         heat_apply_series(d_op, 2.0, Polynomial.monomial((8,)), tol=1e-12, max_terms=3)
+    # in a block, one column out of reach fails the whole call
+    block = np.array([[1.0, 1.0], [0.0, 2.0]])
+    mat = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    with pytest.raises(SeriesToleranceError):
+        _series_evolve(mat, 2.5, 1.0, block, [1e-2, 1e-15], max_terms=5)
+
+
+@pytest.mark.parametrize("fnorm", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("tol", [1e-16, 1e-12, 1e-6])
+def test_series_stop_equals_linear_scan(fnorm, tol):
+    for a in np.geomspace(1e-3, 500.0, 40):
+        scan = next(n for n in range(1, 20001) if fnorm * _series_tail_bound(a, n) <= tol)
+        assert _series_stop(a, fnorm, tol, 20000) == scan, a
+
+
+def test_series_block_zero_time_and_zero_columns():
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(6, 6))
+    norm = float(np.max(np.sum(np.abs(mat), axis=0)))
+    block = rng.normal(size=(6, 3))
+    block[:, 1] = 0.0
+    sums, tails, abs_sums = _series_evolve(mat, norm, 0.0, block, [1e-12] * 3)
+    assert np.array_equal(sums, block) and not tails.any()
+    assert np.array_equal(abs_sums, np.abs(block))
+    tols = [1e-13, 1e-13, 1e-6]
+    sums, tails, abs_sums = _series_evolve(mat, norm, 0.8, block, tols)
+    assert not sums[:, 1].any() and tails[1] == 0.0 and not abs_sums[:, 1].any()
+    # every column is the sum it has alone, stopped at its own index
+    for j in (0, 2):
+        alone, tail, _ = _series_evolve(mat, norm, 0.8, block[:, [j]], [tols[j]])
+        assert tails[j] == tail[0] <= tols[j]
+        assert np.allclose(sums[:, j], alone[:, 0], rtol=0, atol=1e-14 * abs_sums[:, j].max())
 
 
 def test_series_agrees_with_matexp_on_all_basis_monomials():
@@ -268,7 +304,7 @@ def test_extended_moment_builds_no_matrix(monkeypatch):
         cfg = SphereConfig(N=n, t=1.0, k=2, ell=6)
         assert heat_moment_monomial(cfg, (4, 2), precision="extended").value == exact
         for route in ("matexp", "series"):
-            # the double bounds do not cover rounding yet, so they are not checked here
+            # the matexp bound does not cover rounding yet, so it is not checked here
             assert heat_moment_monomial(cfg, (4, 2), route=route).value == pytest.approx(
                 exact, rel=1e-9), route
     with pytest.raises(ValueError):
@@ -283,6 +319,28 @@ def test_moment_does_not_depend_on_the_degree_cap(alpha, n, route):
         for ell in (sum(alpha), sum(alpha) + 6)
     )
     assert (a.value, a.error_bound) == (b.value, b.error_bound)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("alpha,n", [((12,), 64), ((4, 2, 2), 16)])
+def test_series_bound_covers_rounding(alpha, n, t):
+    cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha))
+    exact = heat_moment_monomial(cfg, alpha, precision="extended").value
+    res = heat_moment_monomial(cfg, alpha, route="series")
+    assert abs(res.value - exact) <= res.error_bound
+
+
+def test_series_bound_holds_on_random_moments():
+    # |alpha| <= 12, k <= 3, N in [4, 4096], t in [0.1, 4], against the exact route
+    rng = random.Random(7)
+    for _ in range(300):
+        k, deg = rng.randint(1, 3), rng.randint(0, 12)
+        cuts = sorted(rng.randint(0, deg) for _ in range(k - 1))
+        alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+        cfg = SphereConfig(N=rng.randint(4, 4096), t=rng.uniform(0.1, 4.0), k=k, ell=max(deg, 1))
+        exact = heat_moment_monomial(cfg, alpha, precision="extended").value
+        res = heat_moment_monomial(cfg, alpha, route="series")
+        assert abs(res.value - exact) <= res.error_bound, (alpha, cfg)
 
 
 def test_extended_moment_of_three_variables_is_fast():
