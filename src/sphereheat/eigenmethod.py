@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import mpmath
 
@@ -102,7 +103,7 @@ def _falling_denominator(z: Fraction, j: int, N: int) -> Fraction:
     return d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def eigen_poly(n: int, N: int) -> EigenPolynomial:
     """Eigen-polynomial p_n of D for sphere parameter N (memoized).
 
@@ -125,8 +126,9 @@ def eigen_poly(n: int, N: int) -> EigenPolynomial:
     return p
 
 
+@lru_cache(maxsize=1024)
 def eigen_poly_at_sqrtN(n: int, N: int) -> Fraction:
-    """Exact normalized value p_n(sqrt(N)) / N^(n/2).
+    """Exact normalized value p_n(sqrt(N)) / N^(n/2) (memoized).
 
     Computed directly from the coefficients and cross-validated against the
     hypergeometric product form; the two must agree exactly.
@@ -192,8 +194,9 @@ def evaluation_ratio(n: int, N: int) -> Fraction:
     return eigen_poly_at_sqrtN(n + 1, N) / eigen_poly_at_sqrtN(n, N)
 
 
+@lru_cache(maxsize=1024)
 def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
-    """Coefficients c_j with x^n = sum_j c_j p_(n-2j), exact.
+    """Coefficients c_j with x^n = sum_j c_j p_(n-2j), exact (memoized).
 
     c_j = (N/4)^j n^(2j falling) / (j! (N/2 + n - j - 1)^(j falling)).
     The reconstruction is verified exactly before returning.
@@ -222,7 +225,7 @@ def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
 
 
 def evaluate_exp_sum(
-    terms: dict[tuple[int, int, int], Fraction], N: int, t: float
+    terms: Mapping[tuple[int, int, int], Fraction], N: int, t: float
 ) -> tuple[float, float]:
     """Value and error bound of  sum weight * exp(-s t/2) * exp(q t/(2N)) * N^(p/2).
 
@@ -260,21 +263,21 @@ class FiniteMomentX1:
 
     n: int
     N: int
-    terms: dict[tuple[int, int, int], Fraction]
+    terms: Mapping[tuple[int, int, int], Fraction]
 
     def evaluate_extended(self, t: float) -> float:
         """Numeric value of the moment, through :func:`evaluate_exp_sum`."""
         return evaluate_exp_sum(self.terms, self.N, t)[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def finite_moment_x1(n: int, N: int) -> FiniteMomentX1:
     """Assemble the exact finite-N moment of x1^n through the eigenbasis.
 
     Expand (x - m)^n binomially, convert each power of x to the eigenbasis,
     scale each eigen-component by exp(t lambda /2), and evaluate at sqrt(N).
     Each drift power contributes m^i = N^(i/2) exp(-i t/2) exp(i t/(2N)).
-    Memoized per (n, N): callers share the result and must not change it.
+    Memoized per (n, N): callers share the result, whose terms are read-only.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -289,7 +292,7 @@ def finite_moment_x1(n: int, N: int) -> FiniteMomentX1:
             weight = binom * c * eigen_poly_at_sqrtN(d, N)
             key = (i + d, i - d * (d - 2), i + d)
             terms[key] = terms.get(key, Fraction(0)) + weight
-    terms = {k: w for k, w in terms.items() if w}
+    terms = MappingProxyType({k: w for k, w in terms.items() if w})
     return FiniteMomentX1(n=n, N=N, terms=terms)
 
 

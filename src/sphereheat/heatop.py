@@ -14,6 +14,10 @@ L reaches from the shifted parts of f, with their closed-form images:
   ``precision="extended"`` it is instead the exact moment, solved by a
   triangular recursion and evaluated at the digits its largest term needs.
 
+What does not depend on t (the parts, that lattice, its float operator, the
+base point values) is built once per (polynomial, N) and memoized, so every
+t and route shares it; no result depends on whether it was cached.
+
 :func:`heat_apply_series` and :func:`heat_apply_matexp` apply the same
 exponentials to polynomials through a dense operator matrix.
 
@@ -25,9 +29,11 @@ A third, closed-form route for pure first-coordinate monomials lives in
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import mpmath
 import numpy as np
@@ -36,6 +42,9 @@ from scipy.linalg import expm
 from .eigenmethod import evaluate_exp_sum
 from .operators import OperatorMatrix, SphereConfig, _sphere_image
 from .polyalg import Exponents, Polynomial, shift_first_variable_powers
+
+
+_CHUNK = 64  # series terms buffered between two folds into the running sum
 
 
 class SeriesToleranceError(RuntimeError):
@@ -63,11 +72,13 @@ class MomentResult:
             raise ValueError("error_bound must be nonnegative")
 
 
+@functools.lru_cache(maxsize=128)  # a moment's bisections probe fewer n than this
 def _series_tail_bound(a: float, n_done: int) -> float:
     """Upper bound for sum_{i > n_done} a^i / i!, valid once a < n_done + 2.
 
     Geometric majorant: a^(n+1)/(n+1)! * 1/(1 - a/(n+2)).  Computed through
-    logarithms so large a cannot overflow.
+    logarithms so large a cannot overflow.  Memoized, so the stop bisections
+    of a moment's columns share their evaluations.
     """
     if a <= 0:
         return 0.0
@@ -130,6 +141,10 @@ def _series_evolve(
     recursion runs to the latest stop.  Returns the sums, each column's
     remainder bound, and sum_n |term_n| (from n = 0) for rounding estimates.
     A zero column, or t = 0, takes no term and has a zero bound.
+
+    Terms are written in chunks below a row that holds the running sum, and
+    each chunk is folded into it by ``np.add.accumulate``, which adds in term
+    order: the sums are those of a term-by-term loop, bit for bit.
     """
     half_t = 0.5 * t
     a = half_t * norm
@@ -139,16 +154,24 @@ def _series_evolve(
     tails = np.array([fn * _series_tail_bound(a, n) if n else 0.0
                       for fn, n in zip(fnorms, stops)])
     term = np.where(stops > 0, block, 0.0)
-    total, abs_total = block.astype(float), np.abs(block)
+    terms = np.empty((_CHUNK + 1,) + block.shape)  # row 0: the running sum
+    abs_terms = np.empty_like(terms)
+    terms[0], abs_terms[0] = block, np.abs(block)
     ends = set(stops.tolist())
-    for n in range(1, max(ends, default=0) + 1):
-        term = mat @ term
-        term *= half_t / n
-        total += term
-        abs_total += np.abs(term)
-        if n in ends:  # a column past its stop adds nothing more
-            term[:, stops == n] = 0.0
-    return total, tails, abs_total
+    last = max(ends, default=0)
+    for first in range(1, last + 1, _CHUNK):
+        rows = min(_CHUNK, last + 1 - first)
+        for j, n in enumerate(range(first, first + rows), 1):
+            term = np.matmul(mat, term, out=terms[j])
+            term *= half_t / n
+            if n in ends:  # a stopped column feeds zeros on, but this term still counts
+                term = term.copy()
+                term[:, stops == n] = 0.0
+        np.abs(terms[1:rows + 1], out=abs_terms[1:rows + 1])
+        terms[0] = np.add.accumulate(terms[:rows + 1])[-1]
+        abs_terms[0] = np.add.accumulate(abs_terms[:rows + 1])[-1]
+    # column-major like the parts block: the layout fixes how BLAS sums pole @ abs_sums
+    return terms[0].copy(), tails, np.asfortranarray(abs_terms[0])
 
 
 def heat_apply_matexp(op: OperatorMatrix, t: float, precision: str = "double"):
@@ -173,15 +196,18 @@ def heat_apply_matexp(op: OperatorMatrix, t: float, precision: str = "double"):
     raise ValueError(f"unknown precision {precision!r}")
 
 
-def _lattice(
-    N: int, parts: list[Polynomial], include_mixed_term: bool
-) -> dict[Exponents, dict[Exponents, Fraction]]:
-    """The rule image of every monomial L reaches from the parts, lowest degree first.
+@functools.lru_cache(maxsize=256)
+def _prepare(N: int, k: int, terms: tuple, include_mixed_term: bool) -> tuple:
+    """The t-independent part of the moment of sum c x^beta over (beta, c) in terms.
 
-    L keeps a monomial's degree on the diagonal and otherwise lowers one
-    exponent by two, so these monomials span a subspace that L maps into
-    itself, and each image refers only to monomials listed before it.
+    Returns the shifted parts (f(x1 - m, ...) = sum_i m^i parts[i]); the rule
+    image of every monomial L reaches from them, lowest degree first, so each
+    image refers only to monomials listed before it; L as a float matrix on
+    them and its exact 1-norm; their values at the base point; and the block
+    whose column i is parts[i].  Memoized per (polynomial, N), so its
+    mappings and arrays are read-only.
     """
+    parts = tuple(shift_first_variable_powers(Polynomial(k, dict(terms))))
     images: dict[Exponents, dict[Exponents, Fraction]] = {}
     todo = [beta for g in parts for beta in g.terms]
     while todo:
@@ -189,7 +215,24 @@ def _lattice(
         if c not in images:
             images[c] = _sphere_image(N, c, include_mixed_term)
             todo.extend(images[c])
-    return dict(sorted(images.items(), key=lambda item: (sum(item[0]), item[0])))
+    images = dict(sorted(images.items(), key=lambda item: (sum(item[0]), item[0])))
+    index = {c: i for i, c in enumerate(images)}
+    mat = np.zeros((len(index), len(index)))
+    for c, image in images.items():
+        for beta, w in image.items():
+            mat[index[beta], index[c]] = w
+    norm = float(max(sum(map(abs, image.values())) for image in images.values()))
+    # the base point: only pure first-variable monomials survive, and they
+    # see the working-precision sqrt(N), never one rebuilt through the drift m
+    pole = np.array([0.0 if any(c[1:]) else math.sqrt(N) ** c[0] for c in images])
+    block = np.zeros((len(index), len(parts)), order="F")
+    for i, g in enumerate(parts):
+        for beta, coeff in g.terms.items():
+            block[index[beta], i] = coeff
+    for array in (mat, pole, block):
+        array.flags.writeable = False
+    images = MappingProxyType({c: MappingProxyType(image) for c, image in images.items()})
+    return parts, images, mat, norm, pole, block
 
 
 def heat_moment(
@@ -210,6 +253,9 @@ def heat_moment(
     monomial of that set takes at the base point, so no result depends on
     ``cfg.ell``.  ``include_mixed_term=False`` replaces L by the decoupled
     D + E operator (used to measure the mixed term's 1/N influence).
+    The t-independent preparation is shared per (f, N) across t and routes;
+    results do not depend on that cache.
+    The zero polynomial has moment 0 with bound 0 on every route.
     """
     if f.varcount != cfg.k:
         raise ValueError(f"polynomial has {f.varcount} variables, config k={cfg.k}")
@@ -221,43 +267,30 @@ def heat_moment(
         raise ValueError(f"unknown precision {precision!r}")
     if precision == "extended" and route != "matexp":
         raise ValueError("extended precision is provided for the matexp route")
+    if not f.terms:
+        return MomentResult(0.0, route, 0.0, cfg, None)
 
     alpha = next(iter(f.terms)) if len(f.terms) == 1 else None
-    parts = shift_first_variable_powers(f)
-    images = _lattice(cfg.N, parts, include_mixed_term)
+    parts, images, mat, norm, pole, block = _prepare(
+        cfg.N, cfg.k, tuple(sorted(f.terms.items())), include_mixed_term)
     if precision == "extended":
         value, bound = _extended_moment(cfg, parts, images)
         return MomentResult(value, route, bound, cfg, alpha)
 
-    index = {c: i for i, c in enumerate(images)}
-    mat = np.zeros((len(index), len(index)))
-    for c, image in images.items():
-        for beta, w in image.items():
-            mat[index[beta], index[c]] = w
-    norm = float(max(sum(map(abs, image.values())) for image in images.values()))
-
-    # the base point: only pure first-variable monomials survive, and they
-    # see the working-precision sqrt(N), never one rebuilt through the drift m
-    sqrt_n = math.sqrt(cfg.N)
-    pole = np.array([0.0 if any(c[1:]) else sqrt_n ** c[0] for c in images])
-    m = cfg.m
-    block = np.zeros((len(index), len(parts)), order="F")  # column i: the part of m^i
-    for i, g in enumerate(parts):
-        for beta, coeff in g.terms.items():
-            block[index[beta], i] = coeff
-    scale_out = sqrt_n ** f.degree()  # evaluation functional 1-norm bound
+    p, m = len(parts), cfg.m
+    scale_out = math.sqrt(cfg.N) ** f.degree()  # evaluation functional 1-norm bound
     if route == "matexp":
         exp_mat = expm(0.5 * cfg.t * mat)
-        evolved = [exp_mat @ block[:, i] for i in range(len(parts))]
+        evolved = [exp_mat @ block[:, i] for i in range(p)]
         part_bounds = [1e-13 * float(np.sum(np.abs(v))) * scale_out for v in evolved]
     else:
         # Shrink the inner tolerance so the proven truncation bound still
         # meets tol after the pole evaluation and drift powers.
-        tols = [tol / (len(parts) * scale_out * max(1.0, m) ** i) for i in range(len(parts))]
+        tols = [tol / (p * scale_out * max(1.0, m) ** i) for i in range(p)]
         sums, tails, abs_sums = _series_evolve(mat, norm, cfg.t, block, tols)
         evolved = sums.T
         # rounding estimate: u (d + 2) times the pole-weighted sum of |term_n|
-        part_bounds = tails * scale_out + 2.0**-53 * (len(index) + 2) * (pole @ abs_sums)
+        part_bounds = tails * scale_out + 2.0**-53 * (len(pole) + 2) * (pole @ abs_sums)
     values = [m**i * math.fsum(v * pole) for i, v in enumerate(evolved)]
     bounds = [m**i * b for i, b in enumerate(part_bounds)]
     return MomentResult(math.fsum(values), route, math.fsum(bounds), cfg, alpha)

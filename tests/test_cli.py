@@ -104,6 +104,21 @@ def test_csv_rerun_is_byte_identical():
     assert a.splitlines()[0] == ",".join(CSV_HEADER)
 
 
+def test_study_csv_does_not_depend_on_cache_state(clear_caches):
+    grids = [  # the three grids of the benchmark's study workload
+        dict(monomials=[(4,), (8,), (12,)], n_values=[16, 32, 64, 128, 256, 512, 1024],
+             t_values=[0.5, 1.0, 2.0], routes=["matexp", "series", "eigen"]),
+        dict(monomials=[(2, 2, 0), (4, 2, 0), (6, 2, 0), (2, 2, 2), (4, 2, 2)],
+             n_values=[16, 64, 256], t_values=[0.5, 2.0], routes=["matexp", "series"]),
+        dict(monomials=[(4, 2)], n_values=[32, 256], t_values=[1.0], routes=["matexp"],
+             precision="extended"),
+    ]
+    clear_caches()
+    cold = [render_csv(run_study(StudySpec(**g))) for g in grids]
+    warm = [render_csv(run_study(StudySpec(**g))) for g in grids]
+    assert cold == warm
+
+
 def test_csv_independent_of_thread_count(monkeypatch):
     spec = dict(
         monomials=[(2, 0)], n_values=[8, 16], t_values=[1.0],

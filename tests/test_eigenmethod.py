@@ -180,6 +180,15 @@ def test_second_moment_symbolic_terms():
     }
 
 
+def test_assembly_expands_each_power_once_per_n(clear_caches):
+    # x1^12, x1^8 and x1^4 share the expansions and values of degree <= 12
+    clear_caches()
+    for n in (12, 8, 4):
+        finite_moment_x1(n, 64)
+    assert monomial_in_eigenbasis.cache_info().misses == 13
+    assert eigen_poly_at_sqrtN.cache_info().misses == 13
+
+
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_second_moment_closed_form(t):
     for n in (4, 16, 64):

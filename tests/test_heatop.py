@@ -9,9 +9,16 @@ import mpmath
 import numpy as np
 import pytest
 
+from sphereheat.eigenmethod import (
+    eigen_poly,
+    eigen_poly_at_sqrtN,
+    finite_moment_x1,
+    monomial_in_eigenbasis,
+)
 from sphereheat.heatop import (
     MomentResult,
     SeriesToleranceError,
+    _prepare,
     _series_evolve,
     _series_stop,
     _series_tail_bound,
@@ -97,6 +104,38 @@ def test_series_block_zero_time_and_zero_columns():
         alone, tail, _ = _series_evolve(mat, norm, 0.8, block[:, [j]], [tols[j]])
         assert tails[j] == tail[0] <= tols[j]
         assert np.allclose(sums[:, j], alone[:, 0], rtol=0, atol=1e-14 * abs_sums[:, j].max())
+
+
+def term_by_term(mat, t, block, stops):
+    """The series recursion one term at a time: the sums and sum_n |term_n|."""
+    term = np.where(stops > 0, block, 0.0)
+    total, abs_total = block.astype(float), np.abs(block)
+    for n in range(1, max(stops) + 1):
+        term = mat @ term
+        term *= 0.5 * t / n
+        total += term
+        abs_total += np.abs(term)
+        term[:, stops == n] = 0.0
+    return total, abs_total
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (20, 13)])
+@pytest.mark.parametrize("a", [2.5, 60.0])
+def test_chunked_series_equals_term_by_term_loop(shape, a):
+    # stops on both sides of the 64-term chunk boundaries, mixed within one block
+    rng = np.random.default_rng(11)
+    mat, block = rng.normal(size=(shape[0],) * 2), rng.normal(size=shape)
+    norm = float(np.max(np.sum(np.abs(mat), axis=0)))
+    t = 2.0 * a / norm
+    wanted = [n for n in (1, 63, 64, 65, 128, 130) if 0.5 * t * norm < n + 2]
+    fnorms = np.sum(np.abs(block), axis=0)
+    for offset in range(len(wanted)):
+        stops = np.array([wanted[(offset + j) % len(wanted)] for j in range(shape[1])])
+        tols = [fn * _series_tail_bound(0.5 * t * norm, n) for fn, n in zip(fnorms, stops)]
+        sums, tails, abs_sums = _series_evolve(mat, norm, t, block, tols)
+        ref, abs_ref = term_by_term(mat, t, block, stops)
+        assert tails.tolist() == tols  # each column stopped where it was meant to
+        assert sums.tobytes() == ref.tobytes() and abs_sums.tobytes() == abs_ref.tobytes()
 
 
 def test_series_agrees_with_matexp_on_all_basis_monomials():
@@ -330,17 +369,59 @@ def test_series_bound_covers_rounding(alpha, n, t):
     assert abs(res.value - exact) <= res.error_bound
 
 
-def test_series_bound_holds_on_random_moments():
-    # |alpha| <= 12, k <= 3, N in [4, 4096], t in [0.1, 4], against the exact route
+def random_moment_cases():
+    """300 (alpha, cfg): |alpha| <= 12, k <= 3, N in [4, 4096], t in [0.1, 4]."""
     rng = random.Random(7)
     for _ in range(300):
         k, deg = rng.randint(1, 3), rng.randint(0, 12)
         cuts = sorted(rng.randint(0, deg) for _ in range(k - 1))
         alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
-        cfg = SphereConfig(N=rng.randint(4, 4096), t=rng.uniform(0.1, 4.0), k=k, ell=max(deg, 1))
+        yield alpha, SphereConfig(N=rng.randint(4, 4096), t=rng.uniform(0.1, 4.0), k=k,
+                                  ell=max(deg, 1))
+
+
+def test_series_bound_holds_on_random_moments():
+    # against the exact route
+    for alpha, cfg in random_moment_cases():
         exact = heat_moment_monomial(cfg, alpha, precision="extended").value
         res = heat_moment_monomial(cfg, alpha, route="series")
         assert abs(res.value - exact) <= res.error_bound, (alpha, cfg)
+
+
+def test_moments_do_not_depend_on_cache_state(clear_caches):
+    for alpha, cfg in random_moment_cases():
+        for kwargs in (dict(precision="extended"), dict(route="series"), dict(route="matexp")):
+            clear_caches()
+            cold, warm = (heat_moment_monomial(cfg, alpha, **kwargs) for _ in range(2))
+            assert [cold.value.hex(), cold.error_bound.hex()] == [
+                warm.value.hex(), warm.error_bound.hex()], (alpha, cfg, kwargs)
+
+
+@pytest.mark.parametrize("route,precision",
+                         [("matexp", "double"), ("series", "double"), ("matexp", "extended")])
+def test_zero_polynomial_has_zero_moment_on_every_route(route, precision):
+    cfg = SphereConfig(N=16, t=1.0, k=2, ell=2)
+    res = heat_moment(cfg, Polynomial.zero(2), route=route, precision=precision)
+    assert (res.value, res.error_bound, res.monomial) == (0.0, 0.0, None)
+
+
+def test_shared_memo_results_are_read_only():
+    _, images, mat, _, pole, block = _prepare(16, 2, (((4, 2), Fraction(1)),), True)
+    for array in (mat, pole, block):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(TypeError):
+        images[0, 0] = {}
+    with pytest.raises(TypeError):
+        images[4, 2][4, 2] = Fraction(0)
+    with pytest.raises(TypeError):
+        finite_moment_x1(4, 16).terms[0, 0, 0] = Fraction(1)
+
+
+def test_moment_memos_are_bounded():
+    for memo in (_prepare, eigen_poly, eigen_poly_at_sqrtN, monomial_in_eigenbasis,
+                 finite_moment_x1):
+        assert memo.cache_info().maxsize is not None, memo
 
 
 def test_extended_moment_of_three_variables_is_fast():
