@@ -80,6 +80,11 @@ class StudySpec:
             raise ValueError(f"unknown precision {self.precision!r}")
         self.k = self.k or max(len(a) for a in self.monomials)
         self.monomials = [tuple(a) + (0,) * (self.k - len(a)) for a in self.monomials]
+        for name, values in (("monomial", self.monomials), ("N", self.n_values),
+                             ("t", self.t_values), ("route", self.routes)):
+            for i, v in enumerate(values):
+                if v in values[:i]:  # a repeated value would repeat rows and skew the fits
+                    raise ValueError(f"{name} {v} is listed twice")
         for n in self.n_values:
             if n <= self.k:
                 raise ValueError(f"N={n} must exceed k={self.k}")

@@ -2,12 +2,13 @@
 
 The one-variable operator D = d^2 - (1-2/N) x d - (1/N)(x d)^2 is
 diagonalized by a family of monic polynomials p_n with exact rational
-coefficients and eigenvalues lambda_n = -n (1 + (n-2)/N).  Expanding a
-monomial over that family, applying exp((t/2) D) eigenvalue by eigenvalue,
-and evaluating at sqrt(N) yields finite-N moments in closed form, kept
-symbolic as sums of rationals times exp(-s t/2) exp(q t/(2N)) N^(p/2) until
-the final evaluation by :func:`evaluate_exp_sum`, which the extended
-operator route in :mod:`sphereheat.heatop` shares.
+coefficients (built by exact ratio recurrences) and eigenvalues
+lambda_n = -n (1 + (n-2)/N).  Expanding a monomial over that family,
+applying exp((t/2) D) eigenvalue by eigenvalue, and evaluating at sqrt(N)
+yields finite-N moments in closed form, kept symbolic as sums of rationals
+times exp(-s t/2) exp(q t/(2N)) N^(p/2) until :func:`evaluate_exp_sum`,
+which the extended operator route in :mod:`sphereheat.heatop` shares,
+adds them exactly on one binary grid from shared powers of three bases.
 
 The module also carries the 1/N power-series machinery for the rational
 factor t0(h) that drives the large-N moment analysis, and the limiting
@@ -94,31 +95,21 @@ class EigenPolynomial:
         )
 
 
-def _falling_denominator(z: Fraction, j: int, N: int) -> Fraction:
-    d = falling(z, j)
-    if d == 0:
-        raise DegenerateParameterError(
-            f"vanishing falling-factorial denominator at N={N}"
-        )
-    return d
-
-
 @lru_cache(maxsize=1024)
 def eigen_poly(n: int, N: int) -> EigenPolynomial:
     """Eigen-polynomial p_n of D for sphere parameter N (memoized).
 
     p_n(x) = sum_j (-N/4)^j  n^(2j falling) / (j! (N/2 + n - 2)^(j falling))
-             x^(n-2j).
+             x^(n-2j),
+    built by the exact ratio c_(j+1) / c_j = -N (n-2j) (n-2j-1) / (2 (j+1) (N + 2n - 4 - 2j)).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_regular_n(N)
-    half_n = Fraction(N, 2)
-    coeffs = []
-    for j in range(n // 2 + 1):
-        num = Fraction(-N, 4) ** j * falling(n, 2 * j)
-        den = math.factorial(j) * _falling_denominator(half_n + n - 2, j, N)
-        coeffs.append(num / den)
+    coeffs = [Fraction(1)]
+    for j in range(n // 2):
+        coeffs.append(coeffs[j] * Fraction(-N * (n - 2 * j) * (n - 2 * j - 1),
+                                           2 * (j + 1) * (N + 2 * n - 4 - 2 * j)))
     p = EigenPolynomial(n=n, N=N, coeffs=tuple(coeffs), eigenvalue=eigenvalue(n, N))
     poly = p.polynomial()
     if _first_part_rule(N)(poly) != p.eigenvalue * poly:
@@ -147,10 +138,9 @@ def pw_product_form(n: int, N: int) -> Fraction:
     """Product form of p_n(sqrt(N)) / N^(n/2):
     ((N-1)/2)^(floor(n/2) rising) / (N/2 + n - 2)^(floor(n/2) falling).
     """
-    _require_regular_n(N)
+    _require_regular_n(N)  # so no factor of the denominator vanishes
     half = n // 2
-    den = _falling_denominator(Fraction(N, 2) + n - 2, half, N)
-    return rising(Fraction(N - 1, 2), half) / den
+    return rising(Fraction(N - 1, 2), half) / falling(Fraction(N, 2) + n - 2, half)
 
 
 def pw_simplified_form(n: int, N: int) -> Fraction:
@@ -198,23 +188,24 @@ def evaluation_ratio(n: int, N: int) -> Fraction:
 def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
     """Coefficients c_j with x^n = sum_j c_j p_(n-2j), exact (memoized).
 
-    c_j = (N/4)^j n^(2j falling) / (j! (N/2 + n - j - 1)^(j falling)).
-    The reconstruction is verified exactly before returning.
+    c_j = (N/4)^j n^(2j falling) / (j! (N/2 + n - j - 1)^(j falling)), built by
+    the exact ratio c_(j+1) / c_j
+    = N (n-2j) (n-2j-1) (N + 2n - 2j - 2) / (2 (j+1) (N + 2n - 4j - 2) (N + 2n - 4j - 4)).
+    The reconstruction is verified exactly, coefficient by coefficient, before returning.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_regular_n(N)
-    coeffs = []
-    for j in range(n // 2 + 1):
-        num = Fraction(N, 4) ** j * falling(n, 2 * j)
-        den = math.factorial(j) * _falling_denominator(
-            Fraction(N, 2) + n - j - 1, j, N
-        )
-        coeffs.append(num / den)
-    recon = Polynomial.zero(1)
+    coeffs = [Fraction(1)]
+    for j in range(n // 2):
+        coeffs.append(coeffs[j] * Fraction(
+            N * (n - 2 * j) * (n - 2 * j - 1) * (N + 2 * n - 2 * j - 2),
+            2 * (j + 1) * (N + 2 * n - 4 * j - 2) * (N + 2 * n - 4 * j - 4)))
+    recon = [Fraction(0)] * len(coeffs)  # recon[i]: coefficient of x^(n-2i)
     for j, c in enumerate(coeffs):
-        recon = recon + c * eigen_poly(n - 2 * j, N).polynomial()
-    if recon != Polynomial.monomial((n,)):
+        for i, e in enumerate(eigen_poly(n - 2 * j, N).coeffs, j):
+            recon[i] += c * e
+    if recon != [1] + [0] * (len(coeffs) - 1):
         raise AssertionError(f"eigenbasis reconstruction failed for n={n}, N={N}")
     return tuple(coeffs)
 
@@ -229,11 +220,20 @@ def evaluate_exp_sum(
 ) -> tuple[float, float]:
     """Value and error bound of  sum weight * exp(-s t/2) * exp(q t/(2N)) * N^(p/2).
 
-    The terms can cancel from their largest magnitude down to an O(1)
-    result, so the sum is carried out with the digits of that magnitude
-    plus 30 guard digits.  The bound is half an ulp of the returned double
-    plus the rounding error of the evaluation itself.  Weights must be
-    nonzero.
+    The terms can cancel from their largest magnitude 10^top down to an O(1)
+    result, so they are carried to dps = ceil(top) + 30 digits: the bases
+    a = exp(-t/2), b = exp(t/(2N)), sqrt(N) and each distinct power of them
+    are taken once at P bits, each term is truncated to an integer multiple
+    of 2^g <= 2^-10 10^(top - dps), and the integers are summed exactly
+    before one correctly rounded division.  Weights must be nonzero.
+
+    Error: with u = 2^(1-P), a and sqrt(N) are within u, b within (1 + t) u
+    (its argument is rounded too), each power rounds once more and the
+    products of a term are exact, so a term's transcendental factor is
+    within K u, K = |s| + (1 + t) |q| + 8, relatively.  P is dps digits plus
+    bit_length(K) + 11 bits, so K u < 2^-10 10^-dps, and a term of at most
+    10^top is off by less than 2^-9 10^(top - dps): well inside the bound's
+    10^(top + 1 - dps) per term, besides half an ulp of the double.
     """
     top = max((  # log10 of the largest term
         math.log10(abs(w.numerator)) - math.log10(w.denominator)
@@ -241,14 +241,24 @@ def evaluate_exp_sum(
         for (s, q, p), w in terms.items()
     ), default=0.0)
     dps = max(math.ceil(top), 0) + 30
-    with mpmath.workdps(dps):
-        tt = mpmath.mpf(t)
-        value = float(mpmath.fsum(
-            mpmath.mpf(w.numerator) / w.denominator
-            * mpmath.exp(-s * tt / 2 + mpmath.mpf(q) * tt / (2 * N))
-            * mpmath.mpf(N) ** (mpmath.mpf(p) / 2)
-            for (s, q, p), w in sorted(terms.items())
-        ))
+    k_max = math.ceil(max((abs(s) + (1 + t) * abs(q) for s, q, _ in terms), default=0) + 8)
+    g = math.floor((top - dps) * math.log2(10)) - 10
+    with mpmath.workprec(math.ceil(dps * math.log2(10)) + k_max.bit_length() + 11):
+        a, b = mpmath.exp(-mpmath.mpf(t) / 2), mpmath.exp(mpmath.mpf(t) / (2 * N))
+        root_man, root_exp = mpmath.sqrt(N).man_exp  # (mantissa, exponent) pairs from here
+        a_pow = {s: (a**s).man_exp for s in {s for s, _, _ in terms}}
+        b_pow = {q: (b**q).man_exp for q in {q for _, q, _ in terms}}
+    n_pow = {p: (root_man * N ** (p // 2), root_exp) if p % 2 else (N ** (p // 2), 0)
+             for p in {p for _, _, p in terms}}
+    total = 0
+    for (s, q, p), w in terms.items():
+        (ma, ea), (mb, eb), (mn, en) = a_pow[s], b_pow[q], n_pow[p]
+        shift = ea + eb + en - g
+        if shift >= 0:
+            total += (w.numerator * ma * mb * mn << shift) // w.denominator
+        else:
+            total += w.numerator * ma * mb * mn // (w.denominator << -shift)
+    value = total / (1 << -g) if g < 0 else float(total << g)
     return value, 0.5 * math.ulp(value) + len(terms) * 10.0 ** (top + 1 - dps)
 
 

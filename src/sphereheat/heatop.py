@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
+from typing import Mapping
 
 import mpmath
 import numpy as np
@@ -196,17 +197,10 @@ def heat_apply_matexp(op: OperatorMatrix, t: float, precision: str = "double"):
     raise ValueError(f"unknown precision {precision!r}")
 
 
-@functools.lru_cache(maxsize=256)
-def _prepare(N: int, k: int, terms: tuple, include_mixed_term: bool) -> tuple:
-    """The t-independent part of the moment of sum c x^beta over (beta, c) in terms.
-
-    Returns the shifted parts (f(x1 - m, ...) = sum_i m^i parts[i]); the rule
-    image of every monomial L reaches from them, lowest degree first, so each
-    image refers only to monomials listed before it; L as a float matrix on
-    them and its exact 1-norm; their values at the base point; and the block
-    whose column i is parts[i].  Memoized per (polynomial, N), so its
-    mappings and arrays are read-only.
-    """
+def _lattice(N: int, k: int, terms: tuple, include_mixed_term: bool) -> tuple:
+    """Shifted parts (f(x1 - m, ...) = sum_i m^i parts[i]) of sum c x^beta over
+    (beta, c) in terms, and the rule image of every monomial L reaches from
+    them, lowest degree first: each image refers only to monomials before it."""
     parts = tuple(shift_first_variable_powers(Polynomial(k, dict(terms))))
     images: dict[Exponents, dict[Exponents, Fraction]] = {}
     todo = [beta for g in parts for beta in g.terms]
@@ -215,7 +209,18 @@ def _prepare(N: int, k: int, terms: tuple, include_mixed_term: bool) -> tuple:
         if c not in images:
             images[c] = _sphere_image(N, c, include_mixed_term)
             todo.extend(images[c])
-    images = dict(sorted(images.items(), key=lambda item: (sum(item[0]), item[0])))
+    return parts, dict(sorted(images.items(), key=lambda item: (sum(item[0]), item[0])))
+
+
+@functools.lru_cache(maxsize=256)
+def _prepare(N: int, k: int, terms: tuple, include_mixed_term: bool) -> tuple:
+    """The t-independent part of the double routes, on the :func:`_lattice`.
+
+    Returns L as a float matrix on the lattice and its exact 1-norm, the
+    lattice's values at the base point, and the block whose column i is
+    parts[i].  Memoized per (polynomial, N), so its arrays are read-only.
+    """
+    parts, images = _lattice(N, k, terms, include_mixed_term)
     index = {c: i for i, c in enumerate(images)}
     mat = np.zeros((len(index), len(index)))
     for c, image in images.items():
@@ -231,8 +236,7 @@ def _prepare(N: int, k: int, terms: tuple, include_mixed_term: bool) -> tuple:
             block[index[beta], i] = coeff
     for array in (mat, pole, block):
         array.flags.writeable = False
-    images = MappingProxyType({c: MappingProxyType(image) for c, image in images.items()})
-    return parts, images, mat, norm, pole, block
+    return mat, norm, pole, block
 
 
 def heat_moment(
@@ -271,13 +275,13 @@ def heat_moment(
         return MomentResult(0.0, route, 0.0, cfg, None)
 
     alpha = next(iter(f.terms)) if len(f.terms) == 1 else None
-    parts, images, mat, norm, pole, block = _prepare(
-        cfg.N, cfg.k, tuple(sorted(f.terms.items())), include_mixed_term)
+    key = (cfg.N, cfg.k, tuple(sorted(f.terms.items())), include_mixed_term)
     if precision == "extended":
-        value, bound = _extended_moment(cfg, parts, images)
+        value, bound = evaluate_exp_sum(_extended_terms(*key), cfg.N, cfg.t)
         return MomentResult(value, route, bound, cfg, alpha)
 
-    p, m = len(parts), cfg.m
+    mat, norm, pole, block = _prepare(*key)
+    p, m = block.shape[1], cfg.m
     scale_out = math.sqrt(cfg.N) ** f.degree()  # evaluation functional 1-norm bound
     if route == "matexp":
         exp_mat = expm(0.5 * cfg.t * mat)
@@ -296,8 +300,9 @@ def heat_moment(
     return MomentResult(math.fsum(values), route, math.fsum(bounds), cfg, alpha)
 
 
-def _extended_moment(cfg, parts, images) -> tuple[float, float]:
-    """Exact moment on the reachable lattice, evaluated at the digits it needs.
+@functools.lru_cache(maxsize=256)
+def _extended_terms(N: int, k: int, poly_terms: tuple, include_mixed_term: bool) -> Mapping:
+    """Exact moment on the :func:`_lattice`, as (s, q, p) -> weight terms.
 
     h_c, the value of exp((t/2) L) y^c at the base point, solves
     dh_c/dt = (lambda_c h_c + sum_c' L_cc' h_c') / 2, where the sphere rule
@@ -305,9 +310,10 @@ def _extended_moment(cfg, parts, images) -> tuple[float, float]:
     larger rates.  So each e^(r t/2) of a lowered h_c' enters h_c divided by
     r - lambda_c, and e^(lambda_c t/2) takes what remains of h_c(0).  Terms
     are keyed (s, q, p) as in :class:`~sphereheat.eigenmethod.FiniteMomentX1`;
-    the drift power m^i shifts a key by (i, i, i).
+    the drift power m^i shifts a key by (i, i, i).  Memoized per
+    (polynomial, N), so every t shares the solve; the mapping is read-only.
     """
-    N = cfg.N
+    parts, images = _lattice(N, k, poly_terms, include_mixed_term)
     at_pole: dict[Exponents, dict[tuple[int, int, int], Fraction]] = {}
     for c, image in images.items():  # lowered monomials come first
         rate = image[c]
@@ -330,7 +336,7 @@ def _extended_moment(cfg, parts, images) -> tuple[float, float]:
         for beta, coeff in g.terms.items():
             for (s, q, p), w in at_pole[beta].items():
                 terms[s + i, q + i, p + i] = terms.get((s + i, q + i, p + i), 0) + coeff * w
-    return evaluate_exp_sum({k: w for k, w in terms.items() if w}, N, cfg.t)
+    return MappingProxyType({key: w for key, w in terms.items() if w})
 
 
 def heat_moment_monomial(

@@ -235,10 +235,8 @@ def euler_apply(p: Polynomial, variables: Sequence[int]) -> Polynomial:
 
     On a monomial it multiplies by the total degree in those variables.
     """
-    out = Polynomial.zero(p.varcount)
-    for j in variables:
-        out = out + Polynomial.variable(p.varcount, j) * p.diff(j)
-    return out
+    return Polynomial(p.varcount, {
+        alpha: sum(alpha[j] for j in variables) * c for alpha, c in p.terms.items()})
 
 
 def _first_part_rule(N: int) -> Callable[[Polynomial], Polynomial]:

@@ -253,6 +253,20 @@ def test_invalid_grid_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--N", "16,16"], "N 16 is listed twice"),
+    (["--monomial", "2,0"], "monomial (2, 0) is listed twice"),
+    (["--t", "1,1.0"], "t 1.0 is listed twice"),
+    (["--routes", "eigen,eigen"], "route eigen is listed twice"),
+])
+def test_repeated_grid_value_is_usage_error(argv, message, capsys):
+    # a repeated value would write its rows twice and fit the decay rate over the copies
+    assert main(["study", "--monomial", "2", "--routes", "eigen", *argv]) == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(ValueError, match="listed twice"):
+        StudySpec(monomials=[(2,), (2, 0)], n_values=[16], t_values=[1.0], routes=["eigen"])
+
+
 def test_mc_command(capsys):
     rc = main(["mc", "--monomial", "0,2", "--N", "6", "--t", "0.5",
                "--paths", "2000", "--step", "2e-3", "--seed", "5"])

@@ -11,6 +11,7 @@ from sphereheat.eigenmethod import (
     eigen_poly_at_sqrtN,
     eigenvalue,
     eigenvalues_distinct,
+    evaluate_exp_sum,
     evaluation_ratio,
     falling,
     finite_moment_x1,
@@ -156,6 +157,19 @@ def test_monomial_expansion_round_trip():
             assert recon == Polynomial.monomial((n,))
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 10, 1024, 10**6])
+def test_ratio_recurrences_give_the_falling_factorial_coefficients(N):
+    for n in range(31):
+        assert eigen_poly(n, N).coeffs == tuple(
+            Fraction(-N, 4) ** j * falling(n, 2 * j)
+            / (math.factorial(j) * falling(Fraction(N, 2) + n - 2, j))
+            for j in range(n // 2 + 1)), n
+        assert monomial_in_eigenbasis(n, N) == tuple(
+            Fraction(N, 4) ** j * falling(n, 2 * j)
+            / (math.factorial(j) * falling(Fraction(N, 2) + n - j - 1, j))
+            for j in range(n // 2 + 1)), n
+
+
 # ----------------------------------------------------------------------
 # finite-N moments
 # ----------------------------------------------------------------------
@@ -187,6 +201,14 @@ def test_assembly_expands_each_power_once_per_n(clear_caches):
         finite_moment_x1(n, 64)
     assert monomial_in_eigenbasis.cache_info().misses == 13
     assert eigen_poly_at_sqrtN.cache_info().misses == 13
+
+
+@pytest.mark.parametrize("N", [3, 4, 5] + [2**e for e in range(3, 13)] + [10**5, 10**6])
+def test_exp_sum_is_within_its_bound_of_a_300_digit_sum(N, within_300_digit_sum):
+    for n in range(25):
+        terms = finite_moment_x1(n, N).terms
+        for t in (0.01, 0.1, 0.5, 1, 2, 3.7, 20, 80):
+            assert within_300_digit_sum(terms, N, t, *evaluate_exp_sum(terms, N, t)), (n, t)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])

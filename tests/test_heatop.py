@@ -12,12 +12,14 @@ import pytest
 from sphereheat.eigenmethod import (
     eigen_poly,
     eigen_poly_at_sqrtN,
+    evaluate_exp_sum,
     finite_moment_x1,
     monomial_in_eigenbasis,
 )
 from sphereheat.heatop import (
     MomentResult,
     SeriesToleranceError,
+    _extended_terms,
     _prepare,
     _series_evolve,
     _series_stop,
@@ -312,13 +314,43 @@ def dense_reference_moment(cfg, alpha, exp_mat, indexer):
         return total
 
 
+def parity_block_expm(op, t):
+    """The 50-digit exp((t/2) op), taken on each block of fixed x2 ... xk parities.
+
+    Every entry of op between two blocks is first asserted to be exactly zero,
+    so the blocks are invariant and their exponentials make up the whole one.
+    """
+    blocks: dict[tuple, list[int]] = {}
+    for i, gamma in enumerate(op.indexer):
+        blocks.setdefault(tuple(e % 2 for e in gamma[1:]), []).append(i)
+    for rows in blocks.values():
+        others = [j for j in range(op.dimension) if j not in rows]
+        assert all(op.entries[i][j] == 0 for i in rows for j in others)
+    with mpmath.workdps(50):
+        out = mpmath.matrix(op.dimension, op.dimension)
+        for idx in blocks.values():
+            sub = mpmath.matrix(len(idx), len(idx))
+            for a, i in enumerate(idx):
+                for b, j in enumerate(idx):
+                    e = op.entries[i][j]
+                    sub[a, b] = mpmath.mpf(t) / 2 * mpmath.mpf(e.numerator) / e.denominator
+            sub = mpmath.expm(sub)
+            for a, i in enumerate(idx):
+                for b, j in enumerate(idx):
+                    out[i, j] = sub[a, b]
+        return out
+
+
 @pytest.mark.parametrize("include_mixed_term", [True, False])
 @pytest.mark.parametrize("n", [8, 32])
 @pytest.mark.parametrize("k", [2, pytest.param(3, marks=pytest.mark.slow)])
 def test_extended_moment_matches_dense_reference(k, n, include_mixed_term):
     cfg = SphereConfig(N=n, t=1.0, k=k, ell=6)
     op = build_sphere_laplacian(cfg, include_mixed_term=include_mixed_term)
-    exp_mat = heat_apply_matexp(op, cfg.t, precision="extended")
+    exp_mat = parity_block_expm(op, cfg.t)
+    if k == 2:  # the blocks against the whole 50-digit exponential
+        with mpmath.workdps(50):
+            assert mpmath.mnorm(exp_mat - heat_apply_matexp(op, cfg.t, "extended"), 1) < 1e-45
     for alpha in all_alphas(k, 6):
         ref = dense_reference_moment(cfg, alpha, exp_mat, op.indexer)
         res = heat_moment_monomial(
@@ -388,6 +420,13 @@ def test_series_bound_holds_on_random_moments():
         assert abs(res.value - exact) <= res.error_bound, (alpha, cfg)
 
 
+def test_exp_sum_is_within_its_bound_on_extended_route_terms(within_300_digit_sum):
+    for alpha, cfg in random_moment_cases():
+        terms = _extended_terms(cfg.N, cfg.k, ((alpha, Fraction(1)),), True)
+        value, bound = evaluate_exp_sum(terms, cfg.N, cfg.t)
+        assert within_300_digit_sum(terms, cfg.N, cfg.t, value, bound), (alpha, cfg)
+
+
 def test_moments_do_not_depend_on_cache_state(clear_caches):
     for alpha, cfg in random_moment_cases():
         for kwargs in (dict(precision="extended"), dict(route="series"), dict(route="matexp")):
@@ -406,20 +445,19 @@ def test_zero_polynomial_has_zero_moment_on_every_route(route, precision):
 
 
 def test_shared_memo_results_are_read_only():
-    _, images, mat, _, pole, block = _prepare(16, 2, (((4, 2), Fraction(1)),), True)
+    key = (16, 2, (((4, 2), Fraction(1)),), True)
+    mat, _, pole, block = _prepare(*key)
     for array in (mat, pole, block):
         with pytest.raises(ValueError):
             array[0] = 1.0
     with pytest.raises(TypeError):
-        images[0, 0] = {}
-    with pytest.raises(TypeError):
-        images[4, 2][4, 2] = Fraction(0)
+        _extended_terms(*key)[0, 0, 0] = Fraction(1)
     with pytest.raises(TypeError):
         finite_moment_x1(4, 16).terms[0, 0, 0] = Fraction(1)
 
 
 def test_moment_memos_are_bounded():
-    for memo in (_prepare, eigen_poly, eigen_poly_at_sqrtN, monomial_in_eigenbasis,
+    for memo in (_prepare, _extended_terms, eigen_poly, eigen_poly_at_sqrtN, monomial_in_eigenbasis,
                  finite_moment_x1):
         assert memo.cache_info().maxsize is not None, memo
 

@@ -1,6 +1,7 @@
 """Exact identities of the sphere operators and their matrices."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from sphereheat.operators import (
     build_hermite_limit,
     build_sphere_laplacian,
     commutator,
+    euler_apply,
     operator_from_rule,
     _first_part_rule,
     _rest_part_rule,
@@ -247,3 +249,17 @@ def test_exponential_splitting_identity(t):
     lhs = expm(x_mat + y_mat)
     rhs = expm(x_mat) @ expm((-math.expm1(-t)) / t * y_mat)
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-10
+
+
+def test_euler_apply_equals_the_sum_of_x_j_d_j():
+    rng = random.Random(5)
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        p = Polynomial(k, {tuple(rng.randint(0, 5) for _ in range(k)):
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                           for _ in range(rng.randint(0, 8))})
+        variables = [j for j in range(k) if rng.random() < 0.6]
+        expect = Polynomial.zero(k)
+        for j in variables:
+            expect = expect + Polynomial.variable(k, j) * p.diff(j)
+        assert euler_apply(p, variables) == expect, (p.terms, variables)
