@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verify as verify_mod
-from .eigenmethod import heat_moment_x1_eigen
 from .gaussian_limit import gaussian_moment
 from .heatop import SeriesToleranceError, heat_moment_monomial
 from .operators import SphereConfig
@@ -133,9 +132,7 @@ def _route_value(
             est = mc_moment(mc, alpha, workers=1)
             return est.mean, est.stderr, None
         if route == "eigen":
-            if any(alpha[1:]):
-                return None, None, "the eigen route covers pure x1 powers only"
-            return heat_moment_x1_eigen(alpha[0], cfg), None, None
+            return heat_moment_monomial(cfg, alpha, precision="extended").value, None, None
         res = heat_moment_monomial(cfg, alpha, route=route, precision=spec.precision)
         return res.value, None, None
     except (ValueError, SeriesToleranceError) as exc:

@@ -6,9 +6,11 @@ coefficients (built by exact ratio recurrences) and eigenvalues
 lambda_n = -n (1 + (n-2)/N).  Expanding a monomial over that family,
 applying exp((t/2) D) eigenvalue by eigenvalue, and evaluating at sqrt(N)
 yields finite-N moments in closed form, kept symbolic as sums of rationals
-times exp(-s t/2) exp(q t/(2N)) N^(p/2) until :func:`evaluate_exp_sum`,
-which the extended operator route in :mod:`sphereheat.heatop` shares,
+times exp(-s t/2) exp(q t/(2N)) N^(p/2) until :func:`evaluate_exp_sum`
 adds them exactly on one binary grid from shared powers of three bases.
+:func:`eigen_moment_terms` is the one exact derivation of the package:
+:mod:`sphereheat.heatop` reduces every moment to first-coordinate parts
+and sums their eigen expansions through it.
 
 The module also carries the 1/N power-series machinery for the rational
 factor t0(h) that drives the large-N moment analysis, and the limiting
@@ -27,7 +29,7 @@ from typing import Mapping, Sequence
 import mpmath
 
 from .gaussian_limit import even_moment_factor, var_first
-from .operators import SphereConfig, _first_part_rule
+from .operators import SphereConfig
 from .polyalg import Polynomial
 
 
@@ -58,9 +60,9 @@ def rising(z, j: int) -> Fraction:
 
 
 def _require_regular_n(N: int) -> None:
-    if N < 3:
+    if N < 2:
         raise DegenerateParameterError(
-            f"N={N} is rejected for the closed-form route; use N >= 3"
+            f"N={N} is rejected for the closed-form route; use N >= 2"
         )
 
 
@@ -110,11 +112,22 @@ def eigen_poly(n: int, N: int) -> EigenPolynomial:
     for j in range(n // 2):
         coeffs.append(coeffs[j] * Fraction(-N * (n - 2 * j) * (n - 2 * j - 1),
                                            2 * (j + 1) * (N + 2 * n - 4 - 2 * j)))
-    p = EigenPolynomial(n=n, N=N, coeffs=tuple(coeffs), eigenvalue=eigenvalue(n, N))
-    poly = p.polynomial()
-    if _first_part_rule(N)(poly) != p.eigenvalue * poly:
+    lam = eigenvalue(n, N)
+    if _apply_d(n, N, coeffs) != [lam * c for c in coeffs]:
         raise AssertionError(f"eigen-relation failed for n={n}, N={N}")
-    return p
+    return EigenPolynomial(n=n, N=N, coeffs=tuple(coeffs), eigenvalue=lam)
+
+
+def _apply_d(n: int, N: int, coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """D p for p = sum_j coeffs[j] x^(n-2j), from D = d^2 - (1-2/N) R1 - (1/N) R1^2:
+    d^2 sends x^(e+2) to (e+2)(e+1) x^e and R1 multiplies x^e by e."""
+    c1, cN = 1 - Fraction(2, N), Fraction(1, N)
+    out = []
+    for j, c in enumerate(coeffs):
+        e = n - 2 * j
+        lowered = (e + 2) * (e + 1) * coeffs[j - 1] if j else 0
+        out.append(lowered - (c1 * e + cN * e * e) * c)
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -280,30 +293,38 @@ class FiniteMomentX1:
         return evaluate_exp_sum(self.terms, self.N, t)[0]
 
 
+@lru_cache(maxsize=256)
+def eigen_moment_terms(
+    N: int, parts: tuple[tuple[tuple[int, Fraction], ...], ...]
+) -> Mapping[tuple[int, int, int], Fraction]:
+    """Exact moment  sum_i m^i E[g_i(y1)]  as (s, q, p) -> weight terms.
+
+    ``parts[i]`` holds the (n, c) pairs of g_i = sum c y1^n.  Each y1^n is
+    expanded over the eigenbasis, each p_d scaled by exp(t lambda_d / 2) and
+    evaluated at sqrt(N): the key (d, -d (d-2), d).  The drift power
+    m^i = N^(i/2) exp(-i t/2) exp(i t/(2N)) shifts a key by (i, i, i).
+    Memoized per (parts, N), so every t shares it; the mapping is read-only.
+    The eigenvalues are distinct for N >= 2: lambda_a = lambda_b means
+    (a - b) (N - 2 + a + b) = 0.
+    """
+    terms: dict[tuple[int, int, int], Fraction] = {}
+    for i, g in enumerate(parts):
+        for n, coeff in g:
+            for j, c in enumerate(monomial_in_eigenbasis(n, N)):
+                d = n - 2 * j
+                key = (i + d, i - d * (d - 2), i + d)
+                terms[key] = terms.get(key, 0) + coeff * c * eigen_poly_at_sqrtN(d, N)
+    return MappingProxyType({k: w for k, w in terms.items() if w})
+
+
 @lru_cache(maxsize=1024)
 def finite_moment_x1(n: int, N: int) -> FiniteMomentX1:
-    """Assemble the exact finite-N moment of x1^n through the eigenbasis.
-
-    Expand (x - m)^n binomially, convert each power of x to the eigenbasis,
-    scale each eigen-component by exp(t lambda /2), and evaluate at sqrt(N).
-    Each drift power contributes m^i = N^(i/2) exp(-i t/2) exp(i t/(2N)).
-    Memoized per (n, N): callers share the result, whose terms are read-only.
-    """
+    """The exact finite-N moment of x1^n: :func:`eigen_moment_terms` of the
+    binomial parts of (y1 - m)^n.  Memoized per (n, N)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _require_regular_n(N)
-    if not eigenvalues_distinct(n, N):
-        raise DegenerateParameterError(f"repeated eigenvalues at N={N}, n={n}")
-    terms: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n + 1):
-        binom = Fraction(math.comb(n, i)) * (-1) ** i
-        for j, c in enumerate(monomial_in_eigenbasis(n - i, N)):
-            d = n - i - 2 * j
-            weight = binom * c * eigen_poly_at_sqrtN(d, N)
-            key = (i + d, i - d * (d - 2), i + d)
-            terms[key] = terms.get(key, Fraction(0)) + weight
-    terms = MappingProxyType({k: w for k, w in terms.items() if w})
-    return FiniteMomentX1(n=n, N=N, terms=terms)
+    parts = tuple(((n - i, Fraction(math.comb(n, i) * (-1) ** i)),) for i in range(n + 1))
+    return FiniteMomentX1(n=n, N=N, terms=eigen_moment_terms(N, parts))
 
 
 def heat_moment_x1_eigen(n: int, cfg: SphereConfig) -> float:

@@ -1,29 +1,22 @@
 """Heat-operator moments of polynomials on the shifted sphere.
 
-The heat operator applied to a polynomial f of the first k coordinates is
-computed as (exp((t/2) L) f) evaluated at the base point (first shifted
-coordinate sqrt(N), zeros elsewhere), where L is the sphere Laplacian of
-:mod:`sphereheat.operators`.  L keeps a monomial on its diagonal and
-otherwise lowers one exponent by two, so every route works on the monomials
-L reaches from the shifted parts of f, with their closed-form images:
-
-* ``series``: the truncated exponential power series, run for all shifted
-  parts at once; its bound is a proven geometric tail bound in the exact
-  induced 1-norm plus a rounding estimate;
-* ``matexp``: a scaling-and-squaring matrix exponential.  With
-  ``precision="extended"`` it is instead the exact moment, solved by a
-  triangular recursion and evaluated at the digits its largest term needs.
-
-What does not depend on t (the parts, that lattice, its float operator, the
-base point values) is built once per (polynomial, N) and memoized, so every
-t and route shares it; no result depends on whether it was cached.
+The heat-kernel measure is based at the pole and invariant under the
+rotations that fix the first axis, so every moment is one-dimensional:
+f becomes exact parts g_i of the shifted first coordinate y1 with
+E f = sum_i m^i E[g_i(y1)].  The heat operator acts on y1^n through the
+one-variable part D of the sphere Laplacian, so the double routes work on
+the 1-D lattice of degrees D reaches from the parts, evaluated at sqrt(N):
+``series`` runs the truncated power series for all parts at once, with a
+proven tail bound in the exact 1-norm plus a rounding estimate, and
+``matexp`` a scaling-and-squaring matrix exponential.  With
+``precision="extended"`` the moment is instead the exact sum of the parts'
+eigen expansions from :mod:`sphereheat.eigenmethod`.  What does not depend
+on t (the parts, the lattice, its float operator, the base point values) is
+memoized per (polynomial, N), and no result depends on that cache.
 
 :func:`heat_apply_series` and :func:`heat_apply_matexp` apply the same
-exponentials to polynomials through a dense operator matrix.
-
-A third, closed-form route for pure first-coordinate monomials lives in
-:mod:`sphereheat.eigenmethod`, and a stochastic one in
-:mod:`sphereheat.sphere_mc`.
+exponentials to polynomials through a dense operator matrix.  A stochastic
+route lives in :mod:`sphereheat.sphere_mc`.
 """
 
 from __future__ import annotations
@@ -33,15 +26,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping
 
 import mpmath
 import numpy as np
 from scipy.linalg import expm
 
-from .eigenmethod import evaluate_exp_sum
-from .operators import OperatorMatrix, SphereConfig, _sphere_image
+from .eigenmethod import eigen_moment_terms, eigenvalue, evaluate_exp_sum
+from .operators import OperatorMatrix, SphereConfig
 from .polyalg import Exponents, Polynomial, shift_first_variable_powers
 
 
@@ -197,43 +188,56 @@ def heat_apply_matexp(op: OperatorMatrix, t: float, precision: str = "double"):
     raise ValueError(f"unknown precision {precision!r}")
 
 
-def _lattice(N: int, k: int, terms: tuple, include_mixed_term: bool) -> tuple:
-    """Shifted parts (f(x1 - m, ...) = sum_i m^i parts[i]) of sum c x^beta over
-    (beta, c) in terms, and the rule image of every monomial L reaches from
-    them, lowest degree first: each image refers only to monomials before it."""
-    parts = tuple(shift_first_variable_powers(Polynomial(k, dict(terms))))
-    images: dict[Exponents, dict[Exponents, Fraction]] = {}
-    todo = [beta for g in parts for beta in g.terms]
-    while todo:
-        c = todo.pop()
-        if c not in images:
-            images[c] = _sphere_image(N, c, include_mixed_term)
-            todo.extend(images[c])
-    return parts, dict(sorted(images.items(), key=lambda item: (sum(item[0]), item[0])))
+@functools.lru_cache(maxsize=256)
+def _first_coordinate_parts(N: int, k: int, terms: tuple) -> tuple:
+    """Parts of f = sum c x^alpha over (alpha, c) in terms, with E f = sum_i m^i E[g_i(y1)]:
+    parts[i] lists the (n, c) of g_i = sum c y1^n by increasing n.
+
+    Given y1 = x1 + m, the other coordinates are uniform on the sphere of
+    radius sqrt(N - y1^2) in N - 1 dimensions, so E[prod_j x_j^b_j | y1] is 0
+    if some b_j is odd and c_b(N) (N - y1^2)^h otherwise, h = |b|/2, with
+    c_b(N) = prod (b_j - 1)!! / prod_(i<h) (N - 1 + 2i) (G. B. Folland, How to
+    integrate a polynomial over a sphere, Amer. Math. Monthly 108, 2001).
+    """
+    even = {alpha: c for alpha, c in terms if not any(e % 2 for e in alpha[1:])}
+    parts = []
+    for g in shift_first_variable_powers(Polynomial(k, even)):
+        part: dict[int, Fraction] = {}
+        for (n, *b), c in g.terms.items():
+            h = sum(b) // 2
+            c *= Fraction(math.prod(math.prod(range(e - 1, 0, -2)) for e in b),
+                          math.prod(range(N - 1, N - 1 + 2 * h, 2)))
+            for l in range(h + 1):  # (N - y1^2)^h, expanded
+                w = c * math.comb(h, l) * (-1) ** l * N ** (h - l)
+                part[n + 2 * l] = part.get(n + 2 * l, 0) + w
+        parts.append(tuple(sorted((n, c) for n, c in part.items() if c)))
+    return tuple(parts)
 
 
 @functools.lru_cache(maxsize=256)
-def _prepare(N: int, k: int, terms: tuple, include_mixed_term: bool) -> tuple:
-    """The t-independent part of the double routes, on the :func:`_lattice`.
+def _prepare(N: int, parts: tuple) -> tuple:
+    """The t-independent part of the double routes, on the 1-D lattice.
 
-    Returns L as a float matrix on the lattice and its exact 1-norm, the
-    lattice's values at the base point, and the block whose column i is
-    parts[i].  Memoized per (polynomial, N), so its arrays are read-only.
+    The lattice is every degree D reaches from the parts (n, n - 2, ... >= 0),
+    lowest first, and D y1^n = lambda_n y1^n + n (n - 1) y1^(n-2).  Returns D as
+    a float matrix on it and its exact 1-norm, the base-point values
+    sqrt(N)^n, and the block whose column i is parts[i].  Memoized per
+    (parts, N), so its arrays are read-only.
     """
-    parts, images = _lattice(N, k, terms, include_mixed_term)
-    index = {c: i for i, c in enumerate(images)}
+    degrees = sorted({d for g in parts for n, _ in g for d in range(n % 2, n + 1, 2)})
+    index = {n: i for i, n in enumerate(degrees)}
     mat = np.zeros((len(index), len(index)))
-    for c, image in images.items():
-        for beta, w in image.items():
-            mat[index[beta], index[c]] = w
-    norm = float(max(sum(map(abs, image.values())) for image in images.values()))
-    # the base point: only pure first-variable monomials survive, and they
-    # see the working-precision sqrt(N), never one rebuilt through the drift m
-    pole = np.array([0.0 if any(c[1:]) else math.sqrt(N) ** c[0] for c in images])
+    for n in degrees:
+        mat[index[n], index[n]] = eigenvalue(n, N)
+        if n >= 2:
+            mat[index[n - 2], index[n]] = n * (n - 1)
+    norm = float(max(abs(eigenvalue(n, N)) + n * (n - 1) for n in degrees))
+    # the working-precision sqrt(N), never one rebuilt through the drift m
+    pole = np.array([math.sqrt(N) ** n for n in degrees])
     block = np.zeros((len(index), len(parts)), order="F")
     for i, g in enumerate(parts):
-        for beta, coeff in g.terms.items():
-            block[index[beta], i] = coeff
+        for n, coeff in g:
+            block[index[n], i] = coeff
     for array in (mat, pole, block):
         array.flags.writeable = False
     return mat, norm, pole, block
@@ -245,21 +249,19 @@ def heat_moment(
     route: str = "matexp",
     tol: float = 1e-12,
     precision: str = "double",
-    include_mixed_term: bool = True,
 ) -> MomentResult:
     """Heat-kernel moment of a polynomial in the unshifted coordinates.
 
-    Pipeline: rewrite f(x1, ...) in the shifted frame as a combination of
-    rational polynomials times powers of the drift m, evolve each part by
-    exp((t/2) L) on the monomials L reaches from the parts, evaluate at the
-    base point, and recombine with compensated summation.  The bounds and
-    the series tolerance scale with sqrt(N)^deg f, the largest value a
-    monomial of that set takes at the base point, so no result depends on
-    ``cfg.ell``.  ``include_mixed_term=False`` replaces L by the decoupled
-    D + E operator (used to measure the mixed term's 1/N influence).
-    The t-independent preparation is shared per (f, N) across t and routes;
-    results do not depend on that cache.
-    The zero polynomial has moment 0 with bound 0 on every route.
+    Pipeline: reduce f to one-variable parts g_i(y1) of the shifted first
+    coordinate, E f = sum_i m^i E[g_i(y1)] (:func:`_first_coordinate_parts`),
+    then evolve each part by exp((t/2) D) on the 1-D lattice of degrees D
+    reaches, evaluate at sqrt(N), and recombine with compensated summation;
+    with ``precision="extended"``, sum the parts' eigen expansions exactly
+    instead.  The bounds and the series tolerance scale with sqrt(N)^deg f,
+    the largest value a lattice monomial takes at the base point, so no
+    result depends on ``cfg.ell``.  A moment whose parts all vanish (the zero
+    polynomial, an odd power of a coordinate beyond the first) is 0 with
+    bound 0 on every route.
     """
     if f.varcount != cfg.k:
         raise ValueError(f"polynomial has {f.varcount} variables, config k={cfg.k}")
@@ -271,16 +273,16 @@ def heat_moment(
         raise ValueError(f"unknown precision {precision!r}")
     if precision == "extended" and route != "matexp":
         raise ValueError("extended precision is provided for the matexp route")
-    if not f.terms:
-        return MomentResult(0.0, route, 0.0, cfg, None)
 
     alpha = next(iter(f.terms)) if len(f.terms) == 1 else None
-    key = (cfg.N, cfg.k, tuple(sorted(f.terms.items())), include_mixed_term)
+    parts = _first_coordinate_parts(cfg.N, cfg.k, tuple(sorted(f.terms.items())))
+    if not any(parts):
+        return MomentResult(0.0, route, 0.0, cfg, alpha)
     if precision == "extended":
-        value, bound = evaluate_exp_sum(_extended_terms(*key), cfg.N, cfg.t)
+        value, bound = evaluate_exp_sum(eigen_moment_terms(cfg.N, parts), cfg.N, cfg.t)
         return MomentResult(value, route, bound, cfg, alpha)
 
-    mat, norm, pole, block = _prepare(*key)
+    mat, norm, pole, block = _prepare(cfg.N, parts)
     p, m = block.shape[1], cfg.m
     scale_out = math.sqrt(cfg.N) ** f.degree()  # evaluation functional 1-norm bound
     if route == "matexp":
@@ -298,45 +300,6 @@ def heat_moment(
     values = [m**i * math.fsum(v * pole) for i, v in enumerate(evolved)]
     bounds = [m**i * b for i, b in enumerate(part_bounds)]
     return MomentResult(math.fsum(values), route, math.fsum(bounds), cfg, alpha)
-
-
-@functools.lru_cache(maxsize=256)
-def _extended_terms(N: int, k: int, poly_terms: tuple, include_mixed_term: bool) -> Mapping:
-    """Exact moment on the :func:`_lattice`, as (s, q, p) -> weight terms.
-
-    h_c, the value of exp((t/2) L) y^c at the base point, solves
-    dh_c/dt = (lambda_c h_c + sum_c' L_cc' h_c') / 2, where the sphere rule
-    maps y^c to its rate lambda_c times y^c plus lowered y^c' of strictly
-    larger rates.  So each e^(r t/2) of a lowered h_c' enters h_c divided by
-    r - lambda_c, and e^(lambda_c t/2) takes what remains of h_c(0).  Terms
-    are keyed (s, q, p) as in :class:`~sphereheat.eigenmethod.FiniteMomentX1`;
-    the drift power m^i shifts a key by (i, i, i).  Memoized per
-    (polynomial, N), so every t shares the solve; the mapping is read-only.
-    """
-    parts, images = _lattice(N, k, poly_terms, include_mixed_term)
-    at_pole: dict[Exponents, dict[tuple[int, int, int], Fraction]] = {}
-    for c, image in images.items():  # lowered monomials come first
-        rate = image[c]
-        terms: dict[tuple[int, int, int], Fraction] = {}
-        for lower, coeff in image.items():
-            if lower == c:
-                continue
-            for (s2, q2, p), w in at_pole[lower].items():
-                gap = Fraction(q2, N) - s2 - rate
-                terms[s2, q2, p] = terms.get((s2, q2, p), 0) + coeff * w / gap
-        start = {} if any(c[1:]) else {c[0]: Fraction(1)}
-        for (_, _, p), w in terms.items():
-            start[p] = start.get(p, 0) - w
-        q = int((rate + sum(c)) * N)
-        terms.update(((sum(c), q, p), w) for p, w in start.items())
-        at_pole[c] = {key: w for key, w in terms.items() if w}
-
-    terms = {}
-    for i, g in enumerate(parts):
-        for beta, coeff in g.terms.items():
-            for (s, q, p), w in at_pole[beta].items():
-                terms[s + i, q + i, p + i] = terms.get((s + i, q + i, p + i), 0) + coeff * w
-    return MappingProxyType({key: w for key, w in terms.items() if w})
 
 
 def heat_moment_monomial(

@@ -194,8 +194,7 @@ def run_eigen_suite() -> list[CheckResult]:
             cfg = SphereConfig(N=N, t=t, k=1, ell=6)
             for n in range(7):
                 ev = em.heat_moment_x1_eigen(n, cfg)
-                prec = "extended" if n >= 6 else "double"
-                mv = heat_moment_monomial(cfg, (n,), precision=prec).value
+                mv = heat_moment_monomial(cfg, (n,)).value  # double matexp on the lattice
                 worst = max(worst, abs(ev - mv))
     out.append(_check("eigen route matches operator route", worst <= 1e-9,
                       f"max |difference| = {worst:.2e} (n <= 6)"))

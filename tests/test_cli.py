@@ -77,15 +77,14 @@ def test_study_zero_mean_column():
         assert abs(row.value) <= 1e-12
 
 
-def test_eigen_route_fails_cleanly_on_rest_monomials():
+def test_eigen_route_covers_rest_monomials():
     spec = StudySpec(
         monomials=[(0, 2)], n_values=[8], t_values=[1.0], routes=["eigen"]
     )
     rows = run_study(spec)
-    assert rows[0].value is None
-    assert rows[0].reason == "the eigen route covers pure x1 powers only"
-    line = render_csv(rows).splitlines()[1]
-    assert "failed" in line
+    cfg = SphereConfig(N=8, t=1.0, k=2, ell=2)
+    assert rows[0].value == heat_moment_monomial(cfg, (0, 2), precision="extended").value
+    assert rows[0].reason is None
 
 
 def test_csv_rerun_is_byte_identical():

@@ -7,6 +7,7 @@ import pytest
 
 from sphereheat.eigenmethod import (
     DegenerateParameterError,
+    _apply_d,
     eigen_poly,
     eigen_poly_at_sqrtN,
     eigenvalue,
@@ -29,6 +30,8 @@ from sphereheat.gaussian_limit import gaussian_moment, var_first
 from sphereheat.heatop import heat_moment_monomial
 from sphereheat.operators import SphereConfig, build_D
 from sphereheat.polyalg import Polynomial
+
+from lattice_reference import lattice_moment
 
 
 # ----------------------------------------------------------------------
@@ -81,9 +84,21 @@ def test_eigenvalues_distinct_guard():
 
 def test_small_n_rejected_with_diagnostic():
     with pytest.raises(DegenerateParameterError):
-        eigen_poly(4, 2)
+        eigen_poly(4, 1)
     with pytest.raises(DegenerateParameterError):
-        monomial_in_eigenbasis(4, 2)
+        monomial_in_eigenbasis(4, 1)
+
+
+def test_sparse_d_matches_the_dense_operator():
+    # the eigen-relation check applies D to coefficient tuples; so does build_D, densely
+    for n_sphere in (2, 3, 17):
+        d_op = build_D(n_sphere, 9)
+        for n in range(10):
+            coeffs = [Fraction(3 * j + 1, j + 2) for j in range(n // 2 + 1)]
+            poly = Polynomial(1, {(n - 2 * j,): c for j, c in enumerate(coeffs)})
+            image = d_op.apply(poly)
+            assert _apply_d(n, n_sphere, coeffs) == [
+                image.coefficient((n - 2 * j,)) for j in range(len(coeffs))]
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +241,9 @@ def test_cross_route_agreement():
             cfg = SphereConfig(N=n_sphere, t=t, k=1, ell=12)
             for n in range(13):
                 ev = heat_moment_x1_eigen(n, cfg)
-                # two exact representations, each rounded once to a double
-                ext = heat_moment_monomial(cfg, (n,), precision="extended")
-                assert abs(ev - ext.value) <= 2 * ext.error_bound, (n_sphere, t, n)
+                # two exact derivations, each rounded once to a double
+                value, bound = lattice_moment(cfg, (n,))
+                assert abs(ev - value) <= 2 * bound, (n_sphere, t, n)
                 # the double-precision operator route hits its conditioning
                 # floor ~ m^n * 1e-13 at n >= 6
                 if n < 6 and n_sphere <= 64:

@@ -1,5 +1,6 @@
 """Cross-checked numeric routes for the heat-operator moments."""
 
+import inspect
 import math
 import random
 import time
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from sphereheat.eigenmethod import (
+    eigen_moment_terms,
     eigen_poly,
     eigen_poly_at_sqrtN,
     evaluate_exp_sum,
@@ -19,7 +21,7 @@ from sphereheat.eigenmethod import (
 from sphereheat.heatop import (
     MomentResult,
     SeriesToleranceError,
-    _extended_terms,
+    _first_coordinate_parts,
     _prepare,
     _series_evolve,
     _series_stop,
@@ -37,6 +39,8 @@ from sphereheat.operators import (
 )
 from sphereheat import operators
 from sphereheat.polyalg import BasisIndexer, Polynomial, shift_first_variable_powers
+
+from lattice_reference import canonical, lattice_moment, lattice_terms
 
 
 def x1sq_closed_form(n: int, t: float) -> float:
@@ -265,7 +269,7 @@ def test_mixed_term_influence_shrinks_like_one_over_n():
         for n in (8, 16, 32, 64):
             cfg = SphereConfig(N=n, t=t, k=2, ell=4)
             full = heat_moment_monomial(cfg, (2, 2)).value
-            split = heat_moment_monomial(cfg, (2, 2), include_mixed_term=False).value
+            split = lattice_moment(cfg, (2, 2), include_mixed_term=False)[0]
             gaps[n] = abs(full - split)
         for n in (8, 16, 32):
             assert 1.6 <= gaps[n] / gaps[2 * n] <= 2.4
@@ -276,7 +280,7 @@ def test_mixed_term_irrelevant_for_odd_parity():
     for n in (8, 32):
         cfg = SphereConfig(N=n, t=1.0, k=2, ell=2)
         full = heat_moment_monomial(cfg, (1, 1)).value
-        split = heat_moment_monomial(cfg, (1, 1), include_mixed_term=False).value
+        split = lattice_moment(cfg, (1, 1), include_mixed_term=False)[0]
         assert abs(full) <= 1e-14 and abs(split) <= 1e-14
 
 
@@ -353,12 +357,14 @@ def test_extended_moment_matches_dense_reference(k, n, include_mixed_term):
             assert mpmath.mnorm(exp_mat - heat_apply_matexp(op, cfg.t, "extended"), 1) < 1e-45
     for alpha in all_alphas(k, 6):
         ref = dense_reference_moment(cfg, alpha, exp_mat, op.indexer)
-        res = heat_moment_monomial(
-            cfg, alpha, precision="extended", include_mixed_term=include_mixed_term
-        )
+        if include_mixed_term:
+            res = heat_moment_monomial(cfg, alpha, precision="extended")
+            value, bound = res.value, res.error_bound
+        else:  # the decoupled D + E, which only the lattice solve covers
+            value, bound = lattice_moment(cfg, alpha, include_mixed_term=False)
         # 1e-40 covers the reference's own rounding where the moment is exactly zero
-        assert abs(res.value - ref) <= 1e-14 * abs(ref) + 1e-40, alpha
-        assert abs(res.value - ref) <= res.error_bound + 1e-40, alpha
+        assert abs(value - ref) <= 1e-14 * abs(ref) + 1e-40, alpha
+        assert abs(value - ref) <= bound + 1e-40, alpha
 
 
 def test_extended_moment_builds_no_matrix(monkeypatch):
@@ -422,9 +428,53 @@ def test_series_bound_holds_on_random_moments():
 
 def test_exp_sum_is_within_its_bound_on_extended_route_terms(within_300_digit_sum):
     for alpha, cfg in random_moment_cases():
-        terms = _extended_terms(cfg.N, cfg.k, ((alpha, Fraction(1)),), True)
+        terms = exact_terms(cfg.N, alpha)
         value, bound = evaluate_exp_sum(terms, cfg.N, cfg.t)
         assert within_300_digit_sum(terms, cfg.N, cfg.t, value, bound), (alpha, cfg)
+
+
+def exact_terms(N, alpha):
+    """The package's exact moment of x^alpha: its reduction, then the eigen sums."""
+    return eigen_moment_terms(N, _first_coordinate_parts(N, len(alpha), ((alpha, Fraction(1)),)))
+
+
+def test_reduction_equals_lattice_solve_exactly():
+    # every monomial with |alpha| <= 12 and k <= 3 (k < N), then the random cases
+    cases = [(alpha, N) for N in (3, 5, 64, 4096) for k in (1, 2, 3) if k < N
+             for alpha in all_alphas(k, 12)]
+    assert len(cases) == 1781
+    cases += [(alpha, cfg.N) for alpha, cfg in random_moment_cases()]
+    for alpha, N in cases:
+        reference = lattice_terms(N, len(alpha), ((alpha, Fraction(1)),))
+        assert canonical(exact_terms(N, alpha), N) == canonical(reference, N), (alpha, N)
+
+
+@pytest.mark.parametrize("alpha", [(0, 1), (2, 3), (1, 0, 1), (4, 2, 5)])
+def test_reduced_moment_is_exactly_zero_for_odd_rest_exponents(alpha):
+    cfg = SphereConfig(N=16, t=1.0, k=len(alpha), ell=sum(alpha))
+    assert not any(_first_coordinate_parts(cfg.N, cfg.k, ((alpha, Fraction(1)),)))
+    for kwargs in (dict(route="matexp"), dict(route="series"), dict(precision="extended")):
+        res = heat_moment_monomial(cfg, alpha, **kwargs)
+        assert (res.value, res.error_bound, res.monomial) == (0.0, 0.0, alpha), kwargs
+
+
+def test_heat_moment_has_no_mixed_term_switch():
+    assert "include_mixed_term" not in inspect.signature(heat_moment).parameters
+    with pytest.raises(TypeError):
+        heat_moment_monomial(SphereConfig(N=8, t=1.0, k=2, ell=2), (2, 2),
+                             include_mixed_term=False)
+
+
+def test_two_dimensional_sphere_matches_lattice_solve():
+    # N = 2 allows k = 1 only; the eigen expansion has no degenerate factor there
+    for n in range(13):
+        assert canonical(exact_terms(2, (n,)), 2) == canonical(
+            lattice_terms(2, 1, (((n,), Fraction(1)),)), 2), n
+        for t in (0.3, 1.0, 2.5):
+            cfg = SphereConfig(N=2, t=t, k=1, ell=12)
+            res = heat_moment_monomial(cfg, (n,), precision="extended")
+            value, bound = lattice_moment(cfg, (n,))
+            assert abs(res.value - value) <= res.error_bound + bound, (n, t)
 
 
 def test_moments_do_not_depend_on_cache_state(clear_caches):
@@ -445,20 +495,20 @@ def test_zero_polynomial_has_zero_moment_on_every_route(route, precision):
 
 
 def test_shared_memo_results_are_read_only():
-    key = (16, 2, (((4, 2), Fraction(1)),), True)
-    mat, _, pole, block = _prepare(*key)
+    parts = _first_coordinate_parts(16, 2, (((4, 2), Fraction(1)),))
+    mat, _, pole, block = _prepare(16, parts)
     for array in (mat, pole, block):
         with pytest.raises(ValueError):
             array[0] = 1.0
     with pytest.raises(TypeError):
-        _extended_terms(*key)[0, 0, 0] = Fraction(1)
+        eigen_moment_terms(16, parts)[0, 0, 0] = Fraction(1)
     with pytest.raises(TypeError):
         finite_moment_x1(4, 16).terms[0, 0, 0] = Fraction(1)
 
 
 def test_moment_memos_are_bounded():
-    for memo in (_prepare, _extended_terms, eigen_poly, eigen_poly_at_sqrtN, monomial_in_eigenbasis,
-                 finite_moment_x1):
+    for memo in (_first_coordinate_parts, _prepare, eigen_moment_terms, eigen_poly,
+                 eigen_poly_at_sqrtN, monomial_in_eigenbasis, finite_moment_x1):
         assert memo.cache_info().maxsize is not None, memo
 
 
