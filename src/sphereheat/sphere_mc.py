@@ -6,29 +6,31 @@ the tangential-projection walk, i.e. each step adds sqrt(h) times a
 standard Gaussian vector projected onto the tangent space and rescales back
 to radius sqrt(N).  The scheme's weak discretization bias is O(h).
 
-The walk runs on the reduced state (y, r), y = (x1..xk) and
-r = |x_(k+1..N)|, so a step costs O(k) whatever N is.  Split the step's
-Gaussian vector into g in R^k for y, one normal gamma along the tail's
-current direction, and the rest of the tail part, whose squared length is
-chi ~ chi^2_(N-k-1).  One step of length h is then
+The heat kernel based at the pole is invariant under the rotations that
+fix the x1 axis, so the walk runs on the 1-D state (y, r), y = x1 and
+r = |x_(2..N)|, and a step costs O(1) whatever N and k are.  Let
+tau = (-r, y) / sqrt(N) be the unit tangent in the plane of e1 and the
+current point, and split the step's Gaussian vector into its component
+along the point (which the projection removes), eta = g . tau ~ N(0, 1),
+and the rest, orthogonal to both e1 and the point, whose squared length is
+chi ~ chi^2_(N-2), independent of eta.  With s = sqrt(h/N) eta, one step of
+length h is
 
-    c   = (y.g + r gamma) / N
-    y'  = y + sqrt(h) (g - c y)
-    a   = r (1 - sqrt(h) c) + sqrt(h) gamma
-    r'2 = a^2 + h chi
+    y'  = y - s r
+    r'2 = (r + s y)^2 + h chi
 
-followed by rescaling y' and r' by sqrt(N) / sqrt(|y'|^2 + r'2).  This is
-the full walk's law exactly, also at r = 0: that law is invariant under
-rotations of the tail block, so the tail's direction is uniform and
-independent of (y, r), and the endpoint's tail is rebuilt once per path as
-r z / |z| with z ~ N(0, I_(N-k)).
+followed by rescaling y' and r' by sqrt(N) / sqrt(y'^2 + r'2).  This is
+the full walk's law for (x1, |x_(2..N)|) exactly, also at the pole r = 0;
+that law is invariant under rotations of the tail block, so the tail's
+direction is uniform and independent of (y, r), and the endpoint's tail is
+built once per path as r z / |z| with z ~ N(0, I_(N-1)).  The walk does
+not depend on k, which only limits the monomials :func:`mc_moment` takes.
 
 Randomness is counter-based: path p of a run seeded with s draws from a
-Philox stream keyed by (s, p), in a fixed order: normals of shape
-(steps, k+1) (g, then gamma, per step), then chisquare(N-k-1, steps)
-(skipped when N-k-1 = 0), then the N-k normals of z.  Estimates are
-therefore bitwise reproducible no matter how paths are batched or
-distributed over workers.  The coupled refinement
+Philox stream keyed by (s, p), in a fixed order: the steps' normals eta,
+then chisquare(N-2, steps) (skipped when N = 2), then the N-1 normals of
+z.  Estimates are therefore bitwise reproducible no matter how paths are
+batched or distributed over workers.  The coupled refinement
 (:func:`mc_refinement_diffs`) still walks in the full space, because its
 coarse increments are sums of fine N-dimensional ones.
 """
@@ -46,7 +48,6 @@ import numpy as np
 from .operators import SphereConfig
 
 _BATCH = 1024  # paths per draw buffer; fixed so batching never affects results
-_STEP_BLOCK = 64  # steps transposed to step-major order at a time
 
 
 @dataclass(frozen=True)
@@ -137,25 +138,26 @@ def _path_streams(seed: int, lo: int, hi: int):
         yield gen
 
 
-def _reduced_step(state: np.ndarray, g: np.ndarray, h_chi: np.ndarray, n: int):
-    """One step of the reduced walk on the (k+1, paths) ``state``, in place.
+def _radial_step(y: np.ndarray, r: np.ndarray, s: np.ndarray, h_chi: np.ndarray,
+                 root_n: float) -> None:
+    """One step of the 1-D walk on (y, r), in place; ``s`` is overwritten.
 
-    ``g`` holds sqrt(h) (g, gamma) and ``h_chi`` holds h chi, so
-    sqrt(h) c = state . g / N and the update is the module docstring's.
+    ``s`` holds sqrt(h/N) eta and ``h_chi`` holds h chi, as in the module
+    docstring.
     """
-    k = state.shape[0] - 1
-    c = state[0] * g[0]
-    for j in range(1, k + 1):
-        c += state[j] * g[j]
-    c /= n
-    state += g - c * state
-    r2 = state[k] * state[k]
-    r2 += h_chi
-    total = r2 + state[0] * state[0]
-    for j in range(1, k):
-        total += state[j] * state[j]
-    np.sqrt(r2, out=state[k])
-    state *= math.sqrt(n) / np.sqrt(total)
+    a = s * y
+    a += r
+    s *= r
+    y -= s
+    a *= a
+    a += h_chi  # r'^2
+    scale = y * y
+    scale += a
+    np.sqrt(scale, out=scale)
+    np.divide(root_n, scale, out=scale)
+    y *= scale
+    np.sqrt(a, out=r)
+    r *= scale
 
 
 def _reduced_endpoints(mc: McConfig, streams, out: np.ndarray) -> np.ndarray:
@@ -167,38 +169,29 @@ def _reduced_endpoints(mc: McConfig, streams, out: np.ndarray) -> np.ndarray:
     depend on how many paths share the call.
     """
     cfg = mc.cfg
-    n, k = cfg.N, cfg.k
+    n = cfg.N
     steps = mc.step_sizes()
     count = out.shape[0]
-    dof = n - k - 1
-    normals = np.empty((count, len(steps), k + 1))
-    chi = np.zeros((count, len(steps)))
+    # path-major, as drawn; step j reads column j, so nothing is transposed
+    s = np.empty((count, len(steps)))
+    h_chi = np.zeros((count, len(steps)))
     for i, gen in enumerate(streams):
-        gen.standard_normal(out=normals[i])
-        if dof:
-            chi[i] = gen.chisquare(dof, len(steps))
-        z = gen.standard_normal(n - k)
-        out[i, k:] = z / math.sqrt(np.sum(z * z))
+        gen.standard_normal(out=s[i])  # eta
+        if n > 2:
+            h_chi[i] = gen.chisquare(n - 2, len(steps))
+        z = out[i, 1:]
+        gen.standard_normal(out=z)
+        z /= math.sqrt(np.sum(z * z))
+    s *= np.sqrt(steps / n)
+    h_chi *= steps
 
-    root_h = np.sqrt(steps)
-    # rows y_1..y_k, then the tail's component along its own direction,
-    # which is r between steps
-    state = np.zeros((k + 1, count))
-    state[0] = math.sqrt(n)
-    g_block = np.empty((_STEP_BLOCK, k + 1, count))
-    chi_block = np.empty((_STEP_BLOCK, count))
-    for lo in range(0, len(steps), _STEP_BLOCK):
-        hi = min(lo + _STEP_BLOCK, len(steps))
-        # step-major and scaled: sqrt(h) (g, gamma) and h chi
-        g_steps = np.multiply(normals[:, lo:hi].transpose(1, 2, 0),
-                              root_h[lo:hi, None, None], out=g_block[: hi - lo])
-        chi_steps = np.multiply(chi[:, lo:hi].T, steps[lo:hi, None],
-                                out=chi_block[: hi - lo])
-        for g, h_chi in zip(g_steps, chi_steps):
-            _reduced_step(state, g, h_chi, n)
-    out[:, :k] = state[:k].T
-    out[:, k:] *= state[k][:, None]
-    out[:, 0] -= cfg.m
+    root_n = math.sqrt(n)
+    y = np.full(count, root_n)
+    r = np.zeros(count)
+    for j in range(len(steps)):
+        _radial_step(y, r, s[:, j], h_chi[:, j], root_n)
+    out[:, 0] = y - cfg.m
+    out[:, 1:] *= r[:, None]
     return out
 
 
@@ -315,7 +308,7 @@ def mc_refinement_diffs(
         count = hi - lo
         fine = np.empty((count, n_fine, cfg.N))
         for i, gen in enumerate(_path_streams(mc.seed, lo, hi)):
-            fine[i] = gen.standard_normal((n_fine, cfg.N))
+            gen.standard_normal(out=fine[i])
         # renormalized pairwise sums keep unit variance at coarser levels
         mid = (fine[:, 0::2, :] + fine[:, 1::2, :]) / math.sqrt(2.0)
         coarse = (mid[:, 0::2, :] + mid[:, 1::2, :]) / math.sqrt(2.0)

@@ -1,5 +1,6 @@
 """Monte Carlo oracle: determinism, geometry, and statistical agreement."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from sphereheat.sphere_mc import (
     McConfig,
     McEstimate,
     _path_streams,
+    _radial_step,
     _walk,
     mc_endpoints,
     mc_moment,
@@ -184,11 +186,40 @@ def test_drift_of_shifted_coordinate():
     assert abs(mean - math.exp(-1 / 3)) <= 3 * stderr + 2e-3
 
 
-@pytest.mark.parametrize("n", [3, 8, 32])
-def test_reduced_walk_has_the_projection_walks_law(n):
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_radial_step_equals_the_full_projected_step(n):
+    # eta and chi are read off one explicit g, so both sides see the same step
+    rng = np.random.default_rng(SEED + n)
+    root_n, h = math.sqrt(n), 0.05
+    for case in range(20):
+        if case == 0:
+            x = np.zeros(n)
+            x[0] = root_n  # the pole, r = 0: any unit u in the tail will do
+            u = np.eye(n - 1)[0]
+        else:
+            x = rng.standard_normal(n)
+            x *= root_n / np.linalg.norm(x)
+            u = x[1:] / np.linalg.norm(x[1:])
+        g = rng.standard_normal(n)
+        y, r = x[0], float(np.linalg.norm(x[1:]))
+        tau = np.concatenate(([-r], y * u)) / root_n
+        eta = g @ tau
+        rest = g - (g @ x) * x / n - eta * tau
+        chi = rest @ rest
+        y_new, r_new = np.array([y]), np.array([r])
+        _radial_step(y_new, r_new, np.array([math.sqrt(h / n) * eta]), np.array([h * chi]),
+                     root_n)
+        full = _walk(x[None].copy(), g[None, None, :], np.array([h]))[0]
+        assert y_new[0] == pytest.approx(full[0], rel=0, abs=1e-13 * root_n)
+        assert r_new[0] == pytest.approx(np.linalg.norm(full[1:]), rel=0, abs=1e-13 * root_n)
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (8, 2), (32, 2), (16, 3)],
+                         ids=["3", "4", "8", "32", "16-k3"])
+def test_reduced_walk_has_the_projection_walks_law(n, k):
     # same coarse step on both sides, so the O(h) bias must agree too
     paths, chunk = 40_000, 4_000
-    cfg = SphereConfig(N=n, t=1.0, k=2, ell=4)
+    cfg = SphereConfig(N=n, t=1.0, k=k, ell=4)
     mc = McConfig(cfg=cfg, step_h=0.05, n_paths=paths, seed=SEED)
     reduced = mc_endpoints(mc, workers=1)
     steps = mc.step_sizes()
@@ -199,11 +230,19 @@ def test_reduced_walk_has_the_projection_walks_law(n):
         start[:, 0] = math.sqrt(n)
         full[lo:lo + chunk] = _walk(start, rng.standard_normal((chunk, len(steps), n)), steps)
     full[:, 0] -= cfg.m
-    for alpha in [(a, b) for a in range(5) for b in range(5) if 1 <= a + b <= 4]:
+    for alpha in itertools.product(range(5), repeat=k):
+        if not 1 <= sum(alpha) <= 4:
+            continue
         e1 = mc_moment(mc, alpha, endpoints=reduced)
         e2 = mc_moment(mc, alpha, endpoints=full)
         z = (e1.mean - e2.mean) / math.hypot(e1.stderr, e2.stderr)
         assert abs(z) <= 4, (alpha, e1, e2)
+
+
+def test_endpoints_do_not_depend_on_k():
+    ends = [mc_endpoints(make_mc(n=6, k=k, paths=300), workers=1) for k in (1, 2, 3)]
+    assert np.array_equal(ends[0], ends[1])
+    assert np.array_equal(ends[0], ends[2])
 
 
 def test_shared_ensemble_equals_individual_calls():
