@@ -1,8 +1,9 @@
 """Heat-kernel moments on shifted spheres of radius sqrt(N).
 
-Exact operator calculus, an eigen-polynomial closed-form route, Monte
-Carlo simulation, the limiting Gaussian law, and spectral checks of the
-underlying 1-D parabolic equations, all cross-validating one another.
+The sphere operators as exact symbolic rules on polynomials, an
+eigen-polynomial closed-form route, Monte Carlo simulation, the limiting
+Gaussian law, and spectral checks of the underlying 1-D parabolic
+equations, all cross-validating one another.
 """
 
 from .eigenmethod import (
@@ -26,7 +27,6 @@ from .gaussian_limit import (
 from .heatop import (
     MomentResult,
     heat_apply_matexp,
-    heat_apply_series,
     heat_moment,
     heat_moment_monomial,
 )
@@ -37,7 +37,6 @@ from .operators import (
     build_E,
     build_hermite_limit,
     build_sphere_laplacian,
-    commutator,
 )
 from .polyalg import BasisIndexer, Polynomial, shift_first_variable
 from .sphere_mc import McConfig, McEstimate, mc_moment, simulate_endpoint
@@ -58,12 +57,10 @@ __all__ = [
     "build_hermite_limit",
     "build_sphere_laplacian",
     "classical_limit_check",
-    "commutator",
     "eigen_poly",
     "eigen_poly_at_sqrtN",
     "gaussian_moment",
     "heat_apply_matexp",
-    "heat_apply_series",
     "heat_moment",
     "heat_moment_monomial",
     "heat_moment_x1_eigen",

@@ -78,6 +78,9 @@ class StudySpec:
         if self.precision not in ("double", "extended"):
             raise ValueError(f"unknown precision {self.precision!r}")
         self.k = self.k or max(len(a) for a in self.monomials)
+        for a in self.monomials:
+            if len(a) > self.k:
+                raise ValueError(f"monomial {a} has more than k={self.k} coordinates")
         self.monomials = [tuple(a) + (0,) * (self.k - len(a)) for a in self.monomials]
         for name, values in (("monomial", self.monomials), ("N", self.n_values),
                              ("t", self.t_values), ("route", self.routes)):
@@ -359,6 +362,8 @@ def cmd_verify(args) -> int:
 def cmd_mc(args) -> int:
     alpha = (args.monomial or [(0, 2)])[0]
     k = args.k or len(alpha)
+    if len(alpha) > k:
+        raise ValueError(f"monomial {alpha} has more than k={k} coordinates")
     alpha = tuple(alpha) + (0,) * (k - len(alpha))
     n = (args.N or [8])[0]
     t = (args.t or [1.0])[0]

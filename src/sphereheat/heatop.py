@@ -14,9 +14,9 @@ eigen expansions from :mod:`sphereheat.eigenmethod`.  What does not depend
 on t (the parts, the lattice, its float operator, the base point values) is
 memoized per (polynomial, N), and no result depends on that cache.
 
-:func:`heat_apply_series` and :func:`heat_apply_matexp` apply the same
-exponentials to polynomials through a dense operator matrix.  A stochastic
-route lives in :mod:`sphereheat.sphere_mc`.
+:func:`heat_apply_matexp` exponentiates a dense operator matrix from
+:mod:`sphereheat.operators`; no moment uses it.  A stochastic route lives
+in :mod:`sphereheat.sphere_mc`.
 """
 
 from __future__ import annotations
@@ -82,26 +82,6 @@ def _series_tail_bound(a: float, n_done: int) -> float:
     if log_bound > 700.0:
         return math.inf
     return math.exp(log_bound)
-
-
-def heat_apply_series(
-    op: OperatorMatrix,
-    t: float,
-    f: Polynomial,
-    tol: float = 1e-12,
-    max_terms: int = 20000,
-) -> Polynomial:
-    """Evaluate exp((t/2) op) f by the truncated power series.
-
-    Terms are added until the remainder bound ||f||_1 * tail((t/2)||op||_1)
-    drops below ``tol``.  Raises :class:`SeriesToleranceError` instead of
-    returning a silently unconverged sum.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    start = np.array([[float(c)] for c in op.indexer.to_vector(f)])
-    sums, _, _ = _series_evolve(op.to_float(), float(op.one_norm()), t, start, [tol], max_terms)
-    return op.indexer.from_vector(sums[:, 0].tolist())
 
 
 def _series_stop(a: float, fnorm: float, tol: float, max_terms: int) -> int:

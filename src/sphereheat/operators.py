@@ -1,4 +1,4 @@
-"""Exact matrices of the sphere operators on truncated polynomial spaces.
+"""The sphere operators as symbolic rules on polynomials.
 
 All operators here act on polynomials in the shifted frame: the first
 variable is the recentered coordinate of a sphere of radius sqrt(N), the
@@ -12,10 +12,13 @@ the two Euler (degree-counting) operators, the pieces are
     hermite      H = sum_j dj^2 - Ry                              (j >= 2)
 
 L is the Laplace-Beltrami operator of the sphere restricted to polynomials
-in k < N variables; H is the entrywise limit of E as N grows.  Every
-operator maps the space of degree <= l polynomials to itself, never raising
-the degree, so the matrices are built column by column by applying the
-symbolic rule to each basis monomial.  All entries are exact rationals.
+in k < N variables; H is the limit of E as N grows.  Each operator is a
+rule: a linear map from an exact ``Polynomial`` to its image that never
+raises the degree.  Identities between operators are checked on the rule
+images of monomials, by composing the rules.  :func:`operator_from_rule`
+expands a rule over a truncated monomial basis into an exact dense matrix;
+the tests use it as a reference and the 50-digit matrix exponential reads
+it, but no moment does.
 """
 
 from __future__ import annotations
@@ -71,158 +74,47 @@ class SphereConfig:
 
 
 class OperatorMatrix:
-    """Dense exact-rational matrix of a degree-nonincreasing operator.
+    """Dense exact-rational matrix of a degree-nonincreasing rule.
 
-    Column j holds the expansion of the operator applied to basis monomial
-    j, so matrix-vector products implement the operator action and matrix
-    products implement composition (exact on the truncated space because no
-    operator here raises the degree).
+    Column j holds the expansion of the rule applied to basis monomial j.
+    It is a dense reference for tests and the input of the 50-digit matrix
+    exponential; operator identities are checked on the rules themselves.
     """
 
-    __slots__ = ("entries", "indexer", "label", "params", "_float_cache", "_norm_cache")
+    __slots__ = ("entries", "indexer")
 
-    def __init__(self, entries, indexer: BasisIndexer, label: str, params: tuple):
+    def __init__(self, entries, indexer: BasisIndexer):
         self.entries = tuple(tuple(row) for row in entries)
         n = indexer.dimension
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("entry matrix does not match basis dimension")
         self.indexer = indexer
-        self.label = label
-        self.params = params
-        self._float_cache = None
-        self._norm_cache = None
 
     @property
     def dimension(self) -> int:
         return self.indexer.dimension
 
-    def _check_same_basis(self, other: "OperatorMatrix") -> None:
-        if self.indexer != other.indexer:
-            raise ValueError("operators live on different bases")
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        """Exact action on a polynomial of the basis space."""
-        vec = self.indexer.to_vector(p)
-        out = []
-        for row in self.entries:
-            s = Fraction(0)
-            for a, v in zip(row, vec):
-                if a and v:
-                    s += a * v
-            out.append(s)
-        return self.indexer.from_vector(out)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same_basis(other)
-        n = self.dimension
-        cols_other = [
-            [(i, other.entries[i][j]) for i in range(n) if other.entries[i][j]]
-            for j in range(n)
-        ]
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            for l, b in cols_other[j]:
-                col_a = self.entries
-                if b:
-                    for i in range(n):
-                        a = col_a[i][l]
-                        if a:
-                            out[i][j] += a * b
-        return OperatorMatrix(
-            out, self.indexer, f"({self.label})*({other.label})", self.params
-        )
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same_basis(other)
-        out = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ]
-        return OperatorMatrix(
-            out, self.indexer, f"({self.label})+({other.label})", self.params
-        )
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same_basis(other)
-        out = [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ]
-        return OperatorMatrix(
-            out, self.indexer, f"({self.label})-({other.label})", self.params
-        )
-
-    def scale(self, scalar) -> "OperatorMatrix":
-        s = Fraction(scalar)
-        out = [[s * a for a in row] for row in self.entries]
-        return OperatorMatrix(out, self.indexer, f"{scalar}*({self.label})", self.params)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
-
     def to_float(self) -> np.ndarray:
-        if self._float_cache is None:
-            self._float_cache = np.array(
-                [[float(a) for a in row] for row in self.entries], dtype=float
-            )
-        return self._float_cache.copy()
-
-    def one_norm(self) -> Fraction:
-        """Induced 1-norm (max column sum of absolute values), exact."""
-        if self._norm_cache is None:
-            n = self.dimension
-            best = Fraction(0)
-            for j in range(n):
-                s = sum(abs(self.entries[i][j]) for i in range(n))
-                if s > best:
-                    best = s
-            self._norm_cache = best
-        return self._norm_cache
-
-    def max_abs_entry(self) -> Fraction:
-        return max((abs(a) for row in self.entries for a in row), default=Fraction(0))
-
-    def is_degree_graded(self) -> bool:
-        """True iff no column contains a monomial of higher degree than its own.
-
-        This is the matrix form of closure: the operator maps the degree-d
-        polynomials into the degree <= d ones, i.e. the matrix is block
-        lower-triangular under the degree grading.
-        """
-        idx = self.indexer
-        for j in range(self.dimension):
-            dj = sum(idx.monomial(j))
-            for i in range(self.dimension):
-                if self.entries[i][j] and sum(idx.monomial(i)) > dj:
-                    return False
-        return True
-
-    def diagonal(self) -> list[Fraction]:
-        return [self.entries[i][i] for i in range(self.dimension)]
-
-    def __repr__(self) -> str:
-        return f"OperatorMatrix({self.label!r}, dim={self.dimension}, params={self.params})"
+        return np.array(self.entries, dtype=float)
 
 
 def operator_from_rule(
-    indexer: BasisIndexer,
-    rule: Callable[[Polynomial], Polynomial],
-    label: str,
-    params: tuple,
+    indexer: BasisIndexer, rule: Callable[[Polynomial], Polynomial]
 ) -> OperatorMatrix:
     """Materialize a symbolic polynomial rule as an exact matrix.
 
     The rule must be linear and degree-nonincreasing; each basis monomial is
-    pushed through it and expanded back over the basis, which makes every
-    column auditable against the defining formula of the operator.
+    pushed through it and expanded back over the basis.
     """
-    n = indexer.dimension
-    cols = []
-    for alpha in indexer:
-        image = rule(Polynomial.monomial(alpha))
-        cols.append(indexer.to_vector(image))
-    entries = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return OperatorMatrix(entries, indexer, label, params)
+    cols = [indexer.to_vector(image) for image in rule_images(rule, indexer)]
+    return OperatorMatrix(zip(*cols), indexer)
+
+
+def rule_images(
+    rule: Callable[[Polynomial], Polynomial], basis: BasisIndexer
+) -> list[Polynomial]:
+    """The rule's image of every monomial of the basis, in basis order."""
+    return [rule(Polynomial.monomial(alpha)) for alpha in basis]
 
 
 # ----------------------------------------------------------------------
@@ -239,30 +131,32 @@ def euler_apply(p: Polynomial, variables: Sequence[int]) -> Polynomial:
         alpha: sum(alpha[j] for j in variables) * c for alpha, c in p.terms.items()})
 
 
-def _first_part_rule(N: int) -> Callable[[Polynomial], Polynomial]:
+def second_derivative_sum(p: Polynomial, variables: Sequence[int]) -> Polynomial:
+    """sum_j d_j^2 p over the given 0-based variables."""
+    out = Polynomial.zero(p.varcount)
+    for j in variables:
+        out = out + p.diff(j).diff(j)
+    return out
+
+
+def _part_rule(N: int, variables: Sequence[int]) -> Callable[[Polynomial], Polynomial]:
+    """sum_j dj^2 - (1 - 2/N) R - (1/N) R^2 with R the Euler operator of ``variables``."""
     c1 = Fraction(1) - Fraction(2, N)
     cN = Fraction(1, N)
 
     def rule(p: Polynomial) -> Polynomial:
-        e = euler_apply(p, [0])
-        return p.diff(0).diff(0) - c1 * e - cN * euler_apply(e, [0])
+        e = euler_apply(p, variables)
+        return second_derivative_sum(p, variables) - c1 * e - cN * euler_apply(e, variables)
 
     return rule
+
+
+def _first_part_rule(N: int) -> Callable[[Polynomial], Polynomial]:
+    return _part_rule(N, [0])
 
 
 def _rest_part_rule(N: int, varcount: int) -> Callable[[Polynomial], Polynomial]:
-    rest = list(range(1, varcount))
-    c1 = Fraction(1) - Fraction(2, N)
-    cN = Fraction(1, N)
-
-    def rule(p: Polynomial) -> Polynomial:
-        out = Polynomial.zero(p.varcount)
-        for j in rest:
-            out = out + p.diff(j).diff(j)
-        e = euler_apply(p, rest)
-        return out - c1 * e - cN * euler_apply(e, rest)
-
-    return rule
+    return _part_rule(N, range(1, varcount))
 
 
 def _sphere_image(
@@ -300,15 +194,8 @@ def _sphere_rule(
 
 
 def _hermite_rule(varcount: int) -> Callable[[Polynomial], Polynomial]:
-    rest = list(range(1, varcount))
-
-    def rule(p: Polynomial) -> Polynomial:
-        out = Polynomial.zero(p.varcount)
-        for j in rest:
-            out = out + p.diff(j).diff(j)
-        return out - euler_apply(p, rest)
-
-    return rule
+    rest = range(1, varcount)
+    return lambda p: second_derivative_sum(p, rest) - euler_apply(p, rest)
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +204,8 @@ def _hermite_rule(varcount: int) -> Callable[[Polynomial], Polynomial]:
 
 
 # Matrices are immutable after construction, so repeated builds with the
-# same parameters can share one instance.
+# same parameters can share one instance.  The builders are dense references
+# for the tests; every identity is checked on the rules above.
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +220,7 @@ def build_D(N: int, ell: int, varcount: int = 1) -> OperatorMatrix:
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     indexer = BasisIndexer(varcount, ell)
-    return operator_from_rule(indexer, _first_part_rule(N), "D", (N, varcount, ell))
+    return operator_from_rule(indexer, _first_part_rule(N))
 
 
 @lru_cache(maxsize=None)
@@ -348,34 +236,13 @@ def build_E(N: int, k: int, ell: int) -> OperatorMatrix:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     indexer = BasisIndexer(k, ell)
-    return operator_from_rule(indexer, _rest_part_rule(N, k), "E", (N, k, ell))
+    return operator_from_rule(indexer, _rest_part_rule(N, k))
 
 
 @lru_cache(maxsize=None)
 def build_hermite_limit(k: int, ell: int) -> OperatorMatrix:
     """Hermite operator sum_{j>=2} dj^2 - Ry, the entrywise large-N limit of E."""
-    indexer = BasisIndexer(k, ell)
-    return operator_from_rule(indexer, _hermite_rule(k), "Hermite", (None, k, ell))
-
-
-def build_derivative_squared(indexer: BasisIndexer, index: int) -> OperatorMatrix:
-    """Matrix of d_index^2 (used by the commutation-relation checks)."""
-    return operator_from_rule(
-        indexer,
-        lambda p: p.diff(index).diff(index),
-        f"d{index + 1}^2",
-        (None, indexer.varcount, indexer.max_degree),
-    )
-
-
-def build_euler_var(indexer: BasisIndexer, index: int) -> OperatorMatrix:
-    """Matrix of x_index d_index for a single variable."""
-    return operator_from_rule(
-        indexer,
-        lambda p: euler_apply(p, [index]),
-        f"x{index + 1}d{index + 1}",
-        (None, indexer.varcount, indexer.max_degree),
-    )
+    return operator_from_rule(BasisIndexer(k, ell), _hermite_rule(k))
 
 
 def build_sphere_laplacian(
@@ -395,17 +262,4 @@ def build_sphere_laplacian(
 def _laplacian_cached(
     N: int, k: int, ell: int, include_mixed_term: bool
 ) -> OperatorMatrix:
-    return operator_from_rule(
-        BasisIndexer(k, ell),
-        _sphere_rule(N, k, include_mixed_term),
-        "L" if include_mixed_term else "D+E",
-        (N, k, ell),
-    )
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Exact commutator a b - b a on a shared basis."""
-    out = (a @ b) - (b @ a)
-    return OperatorMatrix(
-        out.entries, a.indexer, f"[{a.label},{b.label}]", a.params
-    )
+    return operator_from_rule(BasisIndexer(k, ell), _sphere_rule(N, k, include_mixed_term))

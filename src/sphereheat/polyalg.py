@@ -1,15 +1,14 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in k variables is stored as a mapping from exponent tuples to
-coefficients.  Coefficients are normally ``Fraction``, in which case every
-ring operation is exact; float coefficients are tolerated (they appear in
-the output of the numeric heat routes) and then follow ordinary float
-arithmetic.  Zero coefficients are never stored, so structural equality is
-mathematical equality.
+coefficients.  Coefficients are ``Fraction`` or ``int``, so every ring
+operation is exact.  Zero coefficients are never stored, so structural
+equality is mathematical equality.  The sphere operators of
+:mod:`sphereheat.operators` are rules on these polynomials.
 
 The module also provides the graded-lexicographic indexing of the monomial
 basis of the truncated spaces of polynomials of total degree at most ``l``,
-which every operator matrix in this package is expressed in:
+over which a rule expands into a dense reference matrix:
 
 * monomials of lower total degree come first,
 * within one degree, exponent tuples are ordered lexicographically
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -52,7 +51,7 @@ def _normalized(terms: Mapping[Exponents, object], varcount: int) -> dict:
 
 
 class Polynomial:
-    """Sparse polynomial with exact rational (or float) coefficients."""
+    """Sparse polynomial with exact rational coefficients."""
 
     __slots__ = ("terms", "varcount")
 
@@ -196,9 +195,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def map_coefficients(self, fn: Callable) -> "Polynomial":
-        return Polynomial(self.varcount, {a: fn(c) for a, c in self.terms.items()})
-
     def coefficient(self, alpha: Sequence[int]):
         return self.terms.get(tuple(alpha), Fraction(0))
 
@@ -284,7 +280,7 @@ class BasisIndexer:
     The ordering is graded lexicographic: all monomials of one total degree
     are contiguous, and degrees increase with the index.  Every operator in
     this package is degree-nonincreasing, so its matrix in this ordering is
-    block lower-triangular, with the diagonal blocks carrying the spectrum.
+    block upper-triangular, with the diagonal blocks carrying the spectrum.
     """
 
     def __init__(self, varcount: int, max_degree: int):
@@ -345,11 +341,3 @@ class BasisIndexer:
         for alpha, coeff in p.terms.items():
             vec[self.index(alpha)] = coeff
         return vec
-
-    def from_vector(self, vec: Sequence) -> Polynomial:
-        if len(vec) != self.dimension:
-            raise ValueError("vector length does not match basis dimension")
-        return Polynomial(
-            self.varcount,
-            {self._monomials[i]: c for i, c in enumerate(vec) if c != 0},
-        )

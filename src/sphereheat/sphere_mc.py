@@ -24,7 +24,8 @@ the full walk's law for (x1, |x_(2..N)|) exactly, also at the pole r = 0;
 that law is invariant under rotations of the tail block, so the tail's
 direction is uniform and independent of (y, r), and the endpoint's tail is
 built once per path as r z / |z| with z ~ N(0, I_(N-1)).  The walk does
-not depend on k, which only limits the monomials :func:`mc_moment` takes.
+not depend on k, and :func:`mc_moment` takes any monomial in at most N
+coordinates.
 
 Randomness is counter-based: path p of a run seeded with s draws from a
 Philox stream keyed by (s, p), in a fixed order: the steps' normals eta,
@@ -271,8 +272,6 @@ def mc_moment(
     """
     if len(alpha) > mc.cfg.N:
         raise ValueError("monomial uses more coordinates than the sphere has")
-    if len(alpha) > mc.cfg.k:
-        raise ValueError("monomial uses more coordinates than configured k")
     if endpoints is None:
         endpoints = mc_endpoints(mc, workers=workers)
     return _estimate(_monomial_values(endpoints, alpha))

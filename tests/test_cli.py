@@ -1,12 +1,15 @@
 """Command-line interface: schema, determinism, exit codes."""
 
 import csv
+import importlib
 import io
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from sphereheat import eigenmethod
 from sphereheat.cli import CSV_HEADER, StudySpec, main, run_study, write_csv
 from sphereheat.heatop import heat_moment_monomial
 from sphereheat.operators import SphereConfig
@@ -149,6 +152,13 @@ def test_spec_validation():
         StudySpec(monomials=[(2, 0)], n_values=[8], t_values=[1.0], routes=["x"])
 
 
+def test_spec_rejects_a_monomial_longer_than_k():
+    with pytest.raises(ValueError, match="more than k=2"):
+        StudySpec(monomials=[(2, 2, 2)], n_values=[16], t_values=[1.0], routes=["matexp"], k=2)
+    spec = StudySpec(monomials=[(2,), (2, 2)], n_values=[16], t_values=[1.0], routes=["matexp"])
+    assert spec.k == 2 and spec.monomials == [(2, 0), (2, 2)]
+
+
 # ----------------------------------------------------------------------
 # entry point behavior
 # ----------------------------------------------------------------------
@@ -237,6 +247,22 @@ def test_verify_subcommand_exit_zero(capsys):
     assert "PASS" in out and "verification: PASS" in out
 
 
+def test_verify_reports_a_broken_constructor_identity_as_fail(monkeypatch, capsys,
+                                                              clear_caches):
+    # eigen_poly_at_sqrtN asserts that its product form agrees with direct evaluation
+    product_form = eigenmethod.pw_product_form
+    monkeypatch.setattr(eigenmethod, "pw_product_form", lambda n, N: product_form(n, N) + 1)
+    clear_caches()
+    try:
+        rc = main(["verify", "eigen"])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL" in out and "product form disagrees" in out and "verification: FAIL" in out
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["study", "--monomial", "not-a-monomial"])
@@ -250,6 +276,17 @@ def test_invalid_grid_is_usage_error(capsys):
     rc = main(["study", "--monomial", "2,0", "--N", "2", "--t", "1"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_monomial_longer_than_k_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    rc = main(["study", "--monomial", "2,2,2", "--k", "2", "--N", "16", "--out", str(out)])
+    assert rc == 2
+    assert "more than k=2" in capsys.readouterr().err
+    assert not out.exists()
+    # the mc subcommand refuses it before it walks any path
+    rc = main(["mc", "--monomial", "0,0,2", "--k", "2", "--N", "8", "--paths", "10"])
+    assert rc == 2 and "more than k=2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -289,6 +326,20 @@ def test_pde_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "first-coordinate" in out and "residual" in out
+
+
+def test_benchmark_trace_finds_every_name_it_wraps(monkeypatch):
+    # the traced benchmark run looks these names up; a missing one fails it
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+    import tracing
+
+    import sphereheat
+    for name in ("cli", "eigenmethod", "gaussian_limit", "heatop", "operators",
+                 "pde_appendix", "polyalg", "sphere_mc", "verify"):
+        importlib.import_module(f"sphereheat.{name}")
+    restore = tracing.instrument(tracing.Tracer(), sphereheat)
+    restore()
+    assert SphereConfig(N=4, t=1.0, k=2, ell=2).ell == 2
 
 
 def test_console_script_entry():

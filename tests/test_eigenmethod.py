@@ -28,7 +28,7 @@ from sphereheat.eigenmethod import (
 )
 from sphereheat.gaussian_limit import gaussian_moment, var_first
 from sphereheat.heatop import heat_moment_monomial
-from sphereheat.operators import SphereConfig, build_D
+from sphereheat.operators import SphereConfig, _first_part_rule
 from sphereheat.polyalg import Polynomial
 
 from lattice_reference import lattice_moment
@@ -67,11 +67,11 @@ def test_low_degree_eigen_polys():
 
 def test_eigen_relation_exact_grid():
     for n_sphere in (3, 5, 10, 100):
-        d_op = build_D(n_sphere, 12)
+        d_rule = _first_part_rule(n_sphere)
         for n in range(13):
             p = eigen_poly(n, n_sphere)  # construction re-verifies D p = lambda p
             poly = p.polynomial()
-            assert d_op.apply(poly) == p.eigenvalue * poly
+            assert d_rule(poly) == p.eigenvalue * poly
             assert p.eigenvalue == Fraction(-n * (n_sphere + n - 2), n_sphere)
 
 
@@ -90,13 +90,13 @@ def test_small_n_rejected_with_diagnostic():
 
 
 def test_sparse_d_matches_the_dense_operator():
-    # the eigen-relation check applies D to coefficient tuples; so does build_D, densely
+    # the eigen-relation check applies D to coefficient tuples; the rule to polynomials
     for n_sphere in (2, 3, 17):
-        d_op = build_D(n_sphere, 9)
+        d_rule = _first_part_rule(n_sphere)
         for n in range(10):
             coeffs = [Fraction(3 * j + 1, j + 2) for j in range(n // 2 + 1)]
             poly = Polynomial(1, {(n - 2 * j,): c for j, c in enumerate(coeffs)})
-            image = d_op.apply(poly)
+            image = d_rule(poly)
             assert _apply_d(n, n_sphere, coeffs) == [
                 image.coefficient((n - 2 * j,)) for j in range(len(coeffs))]
 

@@ -27,7 +27,6 @@ from sphereheat.heatop import (
     _series_stop,
     _series_tail_bound,
     heat_apply_matexp,
-    heat_apply_series,
     heat_moment,
     heat_moment_monomial,
 )
@@ -53,31 +52,43 @@ def x1sq_closed_form(n: int, t: float) -> float:
 # ----------------------------------------------------------------------
 
 
+def dense_series(op, t, block, tols, max_terms=20000):
+    """_series_evolve on a builder's dense float matrix, with its 1-norm."""
+    mat = op.to_float()
+    return _series_evolve(mat, float(np.max(np.sum(np.abs(mat), axis=0))), t, block, tols,
+                          max_terms)
+
+
 def test_series_identity_at_zero_time():
     d_op = build_D(6, 4)
-    f = Polynomial(1, {(4,): Fraction(2), (1,): Fraction(-3)})
-    assert heat_apply_series(d_op, 0.0, f) == f
+    f = np.array([[0.0], [-3.0], [0.0], [0.0], [2.0]])  # 2 x^4 - 3 x
+    sums, tails, _ = dense_series(d_op, 0.0, f, [1e-12])
+    assert np.array_equal(sums, f) and not tails.any()
 
 
 def test_series_on_eigenvector_of_d():
     n, t = 9, 0.7
     d_op = build_D(n, 3)
-    out = heat_apply_series(d_op, t, Polynomial.variable(1, 0), tol=1e-14)
+    x = np.eye(d_op.dimension)[:, [d_op.indexer.index((1,))]]
+    sums, _, _ = dense_series(d_op, t, x, [1e-14])
     expect = math.exp(0.5 * t * (-1.0 + 1.0 / n))
-    assert out.coefficient((1,)) == pytest.approx(expect, abs=1e-13)
+    assert sums[d_op.indexer.index((1,)), 0] == pytest.approx(expect, abs=1e-13)
 
 
 def test_series_constant_is_fixed():
     cfg = SphereConfig(N=8, t=1.3, k=2, ell=3)
-    lap = build_sphere_laplacian(cfg)
     one = Polynomial.constant(2, Fraction(1))
-    assert heat_apply_series(lap, cfg.t, one) == one.map_coefficients(float)
+    assert heat_moment(cfg, one, route="series").value == 1.0
+    lap = build_sphere_laplacian(cfg)
+    sums, _, _ = dense_series(lap, cfg.t, np.eye(lap.dimension)[:, [0]], [1e-12])
+    assert np.array_equal(sums[:, 0], np.eye(lap.dimension)[0])
 
 
 def test_series_unreachable_tolerance_raises():
     d_op = build_D(4, 8)
+    x8 = np.eye(d_op.dimension)[:, [d_op.indexer.index((8,))]]
     with pytest.raises(SeriesToleranceError):
-        heat_apply_series(d_op, 2.0, Polynomial.monomial((8,)), tol=1e-12, max_terms=3)
+        dense_series(d_op, 2.0, x8, [1e-12], max_terms=3)
     # in a block, one column out of reach fails the whole call
     block = np.array([[1.0, 1.0], [0.0, 2.0]])
     mat = np.array([[-1.0, 0.5], [0.0, -2.0]])
@@ -148,13 +159,8 @@ def test_series_agrees_with_matexp_on_all_basis_monomials():
     cfg = SphereConfig(N=10, t=1.0, k=2, ell=4)
     lap = build_sphere_laplacian(cfg)
     exp_mat = heat_apply_matexp(lap, cfg.t)
-    idx = lap.indexer
-    worst = 0.0
-    for j, alpha in enumerate(idx):
-        evolved = heat_apply_series(lap, cfg.t, Polynomial.monomial(alpha), tol=1e-13)
-        col = np.array([float(c) for c in idx.to_vector(evolved)])
-        worst = max(worst, float(np.max(np.abs(col - exp_mat[:, j]))))
-    assert worst <= 1e-10
+    sums, _, _ = dense_series(lap, cfg.t, np.eye(lap.dimension), [1e-13] * lap.dimension)
+    assert float(np.max(np.abs(sums - exp_mat))) <= 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -164,9 +170,7 @@ def test_series_agrees_with_matexp_on_all_basis_monomials():
 
 def test_matexp_of_zero_operator_is_identity():
     idx = BasisIndexer(2, 2)
-    zero = OperatorMatrix(
-        [[Fraction(0)] * idx.dimension for _ in range(idx.dimension)], idx, "0", (None, 2, 2)
-    )
+    zero = OperatorMatrix([[Fraction(0)] * idx.dimension for _ in range(idx.dimension)], idx)
     assert np.allclose(heat_apply_matexp(zero, 1.7), np.eye(idx.dimension), atol=1e-15)
 
 

@@ -133,7 +133,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McEstimate(mean=0.0, stderr=-1.0, n_paths=10)
     with pytest.raises(ValueError):
-        mc_moment(make_mc(k=2), (0, 0, 2))
+        mc_moment(make_mc(n=6, k=2), (0,) * 6 + (2,))
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +243,12 @@ def test_endpoints_do_not_depend_on_k():
     ends = [mc_endpoints(make_mc(n=6, k=k, paths=300), workers=1) for k in (1, 2, 3)]
     assert np.array_equal(ends[0], ends[1])
     assert np.array_equal(ends[0], ends[2])
+
+
+def test_moment_takes_monomials_longer_than_k():
+    # every endpoint carries all N coordinates, so only N limits the monomial
+    a, b = (mc_moment(make_mc(n=6, k=k, paths=300), (0, 0, 2), workers=1) for k in (2, 3))
+    assert a == b and a.n_paths == 300
 
 
 def test_shared_ensemble_equals_individual_calls():
