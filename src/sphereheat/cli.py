@@ -5,7 +5,7 @@ Subcommands:
 * ``moment``  one monomial at one (N, t), any subset of routes
 * ``study``   grid over monomials x N values x t values x routes, CSV out
 * ``verify``  run the invariant suites, nonzero exit on failure
-* ``mc``      Monte Carlo estimate with an extended-precision matexp reference
+* ``mc``      Monte Carlo estimate against the exact moment (eigen route)
 * ``pde``     residual and spectral checks of the 1-D parabolic factors
 
 Flags may also be supplied through ``--config FILE`` holding one
@@ -381,7 +381,7 @@ def cmd_mc(args) -> int:
     print(f"monomial=({','.join(map(str, alpha))}) N={n} t={_fmt(t)} "
           f"paths={mc.n_paths} step={_fmt(mc.step_h)} seed={mc.seed}")
     print(f"estimate = {_fmt(est.mean)} +- {_fmt(est.stderr)}")
-    print(f"matexp   = {_fmt(ref)}   (extended precision; {z:.2f} standard errors away)")
+    print(f"exact    = {_fmt(ref)}   (eigen route, exact exp-sum; {z:.2f} standard errors away)")
     print(f"note: {est.bias_note}")
     return 0
 

@@ -27,28 +27,39 @@ built once per path as r z / |z| with z ~ N(0, I_(N-1)).  The walk does
 not depend on k, and :func:`mc_moment` takes any monomial in at most N
 coordinates.
 
-Randomness is counter-based: path p of a run seeded with s draws from a
-Philox stream keyed by (s, p), in a fixed order: the steps' normals eta,
-then chisquare(N-2, steps) (skipped when N = 2), then the N-1 normals of
-z.  Estimates are therefore bitwise reproducible no matter how paths are
-batched or distributed over workers.  The coupled refinement
+Randomness is counter-based and drawn per batch, one step at a time.
+Paths are split into batches of ``_BATCH``; path p is row p mod _BATCH of
+batch b = p // _BATCH.  Batch b of a run seeded with s owns one Philox key
+(s, b) (:func:`path_generator`) and reads three independent streams of it:
+the keyed generator itself for eta, its ``jumped(1)`` copy for chi and its
+``jumped(2)`` copy for z.  The batch first draws z as one (count, N-1)
+block; then step j draws ``standard_normal(count)`` for eta and
+``chisquare(N-2, count)`` for chi (none when N = 2).  No buffer has a steps
+axis, so a batch holds O(_BATCH N) floats whatever the step count.
+Estimates are bitwise reproducible however batches are scheduled over
+workers, and a full batch does not depend on n_paths; a path's values do
+depend on the rest of its batch, so :func:`simulate_endpoint` walks the
+whole batch of the path it returns.  The coupled refinement
 (:func:`mc_refinement_diffs`) still walks in the full space, because its
-coarse increments are sums of fine N-dimensional ones.
+coarse increments are sums of fine N-dimensional ones: each coarse step of
+batch b draws a (4, count, N) block of fine normals from the keyed
+generator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .operators import SphereConfig
 
-_BATCH = 1024  # paths per draw buffer; fixed so batching never affects results
+_BATCH = 4096  # paths per batch and stream key; fixed, so results never depend on scheduling
 
 
 @dataclass(frozen=True)
@@ -68,16 +79,18 @@ class McConfig:
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
 
-    def step_sizes(self) -> np.ndarray:
-        """Step lengths summing exactly to t (last one possibly shorter)."""
+    def steps(self) -> Iterator[float]:
+        """Step lengths summing exactly to t (last one possibly shorter), one at a time."""
         t, h = self.cfg.t, self.step_h
         if t == 0:
-            return np.zeros(0)
+            return iter(())
         n_full = int(t / h + 1e-9)
         rem = t - n_full * h
-        if rem > 1e-9 * h:
-            return np.array([h] * n_full + [rem])
-        return np.full(n_full, h)
+        return itertools.chain(itertools.repeat(h, n_full), [rem] if rem > 1e-9 * h else [])
+
+    def step_sizes(self) -> np.ndarray:
+        """The step lengths of :meth:`steps` as an array."""
+        return np.fromiter(self.steps(), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -96,47 +109,30 @@ class McEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def path_generator(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream for one path, keyed by (seed, path_index)."""
-    key = (int(seed) % 2**64) * 2**64 + int(path_index)
+def path_generator(seed: int, batch_index: int) -> np.random.Generator:
+    """The counter-based generator of one batch, keyed by (seed, batch_index)."""
+    key = (int(seed) % 2**64) * 2**64 + int(batch_index)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _walk(start: np.ndarray, normals: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Evolve (P, N) starting points by the projection walk, in place."""
-    x = start
-    radius = float(np.linalg.norm(start[0]))  # sqrt(N)
-    nsq = radius * radius
-    for s, h in enumerate(steps):
-        g = normals[:, s, :]
-        coef = np.einsum("ij,ij->i", x, g)
-        coef /= nsq
-        step = g - coef[:, None] * x
-        step *= math.sqrt(h)
-        x += step
-        scale = np.einsum("ij,ij->i", x, x)
-        np.sqrt(scale, out=scale)
-        x *= (radius / scale)[:, None]
-    return x
+def _batch_streams(seed: int, batch: int) -> tuple[np.random.Generator, ...]:
+    """The eta, chi and z streams of one batch, as the module docstring gives them."""
+    gen = path_generator(seed, batch)
+    bits = gen.bit_generator
+    return gen, np.random.Generator(bits.jumped(1)), np.random.Generator(bits.jumped(2))
 
 
-def _path_streams(seed: int, lo: int, hi: int):
-    """The streams of paths lo..hi-1, equal bit for bit to :func:`path_generator`.
-
-    One Philox is built and its state reset to each key with a zero counter,
-    which is several times cheaper than building a keyed Philox per path.
-    The same generator object is yielded each time, so use each stream up
-    before advancing.
-    """
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    high = (int(seed) % 2**64) * 2**64
-    for p in range(lo, hi):
-        key = high + p
-        state["state"]["key"] = np.array([key % 2**64, key >> 64], dtype=np.uint64)
-        bitgen.state = state
-        yield gen
+def _projected_step(x: np.ndarray, g: np.ndarray, h: float) -> None:
+    """One projection-walk step of length h for the (P, N) points x, in place."""
+    n = x.shape[1]
+    coef = np.einsum("ij,ij->i", x, g)
+    coef /= n
+    step = g - coef[:, None] * x
+    step *= math.sqrt(h)
+    x += step
+    scale = np.einsum("ij,ij->i", x, x)
+    np.sqrt(scale, out=scale)
+    x *= (math.sqrt(n) / scale)[:, None]
 
 
 def _radial_step(y: np.ndarray, r: np.ndarray, s: np.ndarray, h_chi: np.ndarray,
@@ -161,54 +157,49 @@ def _radial_step(y: np.ndarray, r: np.ndarray, s: np.ndarray, h_chi: np.ndarray,
     r *= scale
 
 
-def _reduced_endpoints(mc: McConfig, streams, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the endpoints of the paths drawn from ``streams``.
+def _reduced_endpoints(mc: McConfig, batch: int, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the unshifted endpoints of the paths of one batch.
 
-    Row i of ``out`` (shape (paths, N)) gets the unshifted endpoint of the
-    walk driven by the i-th stream, read in the layout the module docstring
-    gives.  Every operation is elementwise across paths, so a row does not
-    depend on how many paths share the call.
+    ``out`` has one row per path of the batch, and the draws follow the
+    layout the module docstring gives.
     """
-    cfg = mc.cfg
-    n = cfg.N
-    steps = mc.step_sizes()
+    n = mc.cfg.N
     count = out.shape[0]
-    # path-major, as drawn; step j reads column j, so nothing is transposed
-    s = np.empty((count, len(steps)))
-    h_chi = np.zeros((count, len(steps)))
-    for i, gen in enumerate(streams):
-        gen.standard_normal(out=s[i])  # eta
-        if n > 2:
-            h_chi[i] = gen.chisquare(n - 2, len(steps))
-        z = out[i, 1:]
-        gen.standard_normal(out=z)
-        z /= math.sqrt(np.sum(z * z))
-    s *= np.sqrt(steps / n)
-    h_chi *= steps
-
+    eta, chi, zs = _batch_streams(mc.seed, batch)
+    z = zs.standard_normal((count, n - 1))
     root_n = math.sqrt(n)
     y = np.full(count, root_n)
     r = np.zeros(count)
-    for j in range(len(steps)):
-        _radial_step(y, r, s[:, j], h_chi[:, j], root_n)
-    out[:, 0] = y - cfg.m
-    out[:, 1:] *= r[:, None]
+    s = np.empty(count)
+    h_chi = np.zeros(count)
+    for h in mc.steps():
+        eta.standard_normal(out=s)
+        s *= math.sqrt(h / n)
+        if n > 2:
+            h_chi = chi.chisquare(n - 2, count)
+            h_chi *= h
+        _radial_step(y, r, s, h_chi, root_n)
+    r /= np.sqrt(np.einsum("ij,ij->i", z, z))
+    out[:, 0] = y - mc.cfg.m
+    np.multiply(z, r[:, None], out=out[:, 1:])
     return out
 
 
-def simulate_endpoint(mc: McConfig, rng_stream: np.random.Generator) -> np.ndarray:
-    """Endpoint of one path, in unshifted coordinates.
+def _endpoint_batch(mc: McConfig, batch: int) -> np.ndarray:
+    count = min(_BATCH, mc.n_paths - batch * _BATCH)
+    return _reduced_endpoints(mc, batch, np.empty((count, mc.cfg.N)))
 
-    ``rng_stream`` should come from :func:`path_generator` so the result
-    matches the corresponding path of a batched run bit for bit.  After the
-    walk the first coordinate is translated by -m(t, N).
+
+def simulate_endpoint(mc: McConfig, path_index: int) -> np.ndarray:
+    """Endpoint of path ``path_index`` of the run ``mc``, in unshifted coordinates.
+
+    Equal bit for bit to row ``path_index`` of :func:`mc_endpoints`; it walks
+    the path's whole batch, whose paths share their streams.
     """
-    return _reduced_endpoints(mc, [rng_stream], np.empty((1, mc.cfg.N)))[0]
-
-
-def _endpoint_batch(mc: McConfig, lo: int, hi: int) -> np.ndarray:
-    out = np.empty((hi - lo, mc.cfg.N))
-    return _reduced_endpoints(mc, _path_streams(mc.seed, lo, hi), out)
+    if not 0 <= path_index < mc.n_paths:
+        raise IndexError(f"path {path_index} is not one of the run's {mc.n_paths} paths")
+    batch, row = divmod(path_index, _BATCH)
+    return _endpoint_batch(mc, batch)[row]
 
 
 def _worker_count(workers: int | None) -> int:
@@ -223,23 +214,19 @@ def _worker_count(workers: int | None) -> int:
 def mc_endpoints(mc: McConfig, workers: int | None = None) -> np.ndarray:
     """(n_paths, N) endpoints in unshifted coordinates.
 
-    Work is split into fixed-size batches processed in index order (or by a
-    process pool); per-path streams make the output independent of the
-    worker count.
+    Batches run in index order, or on a process pool; per-batch streams
+    make the output independent of the worker count.
     """
-    ranges = [
-        (lo, min(lo + _BATCH, mc.n_paths)) for lo in range(0, mc.n_paths, _BATCH)
-    ]
+    batches = range(-(-mc.n_paths // _BATCH))
     out = np.empty((mc.n_paths, mc.cfg.N))
     nworkers = _worker_count(workers)
-    if nworkers <= 1 or len(ranges) <= 1:
-        for lo, hi in ranges:
-            _reduced_endpoints(mc, _path_streams(mc.seed, lo, hi), out[lo:hi])
+    if nworkers <= 1 or len(batches) <= 1:
+        for b in batches:
+            _reduced_endpoints(mc, b, out[b * _BATCH:(b + 1) * _BATCH])
     else:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            futures = [pool.submit(_endpoint_batch, mc, lo, hi) for lo, hi in ranges]
-            for (lo, hi), f in zip(ranges, futures):
-                out[lo:hi] = f.result()
+            for b, block in zip(batches, pool.map(_endpoint_batch, itertools.repeat(mc), batches)):
+                out[b * _BATCH:(b + 1) * _BATCH] = block
     return out
 
 
@@ -293,34 +280,29 @@ def mc_refinement_diffs(
     n0 = round(cfg.t / h)
     if abs(n0 * h - cfg.t) > 1e-9 * max(1.0, cfg.t):
         raise ValueError("refinement requires t to be a multiple of step_h")
-    n_fine = 4 * n0
-
     diffs_coarse = np.empty(mc.n_paths)
     diffs_mid = np.empty(mc.n_paths)
-    start0 = np.zeros(cfg.N)
-    start0[0] = math.sqrt(cfg.N)
-
-    ranges = [
-        (lo, min(lo + _BATCH, mc.n_paths)) for lo in range(0, mc.n_paths, _BATCH)
-    ]
-    for lo, hi in ranges:
-        count = hi - lo
-        fine = np.empty((count, n_fine, cfg.N))
-        for i, gen in enumerate(_path_streams(mc.seed, lo, hi)):
-            gen.standard_normal(out=fine[i])
-        # renormalized pairwise sums keep unit variance at coarser levels
-        mid = (fine[:, 0::2, :] + fine[:, 1::2, :]) / math.sqrt(2.0)
-        coarse = (mid[:, 0::2, :] + mid[:, 1::2, :]) / math.sqrt(2.0)
-        ends = {}
-        for label, normals, step in (
-            ("h", coarse, h),
-            ("h/2", mid, h / 2),
-            ("h/4", fine, h / 4),
-        ):
-            start = np.tile(start0, (count, 1))
-            e = _walk(start, normals, np.full(normals.shape[1], step))
-            e[:, 0] -= cfg.m
-            ends[label] = _monomial_values(e, alpha)
-        diffs_coarse[lo:hi] = ends["h"] - ends["h/2"]
-        diffs_mid[lo:hi] = ends["h/2"] - ends["h/4"]
+    root2 = math.sqrt(2.0)
+    for b, lo in enumerate(range(0, mc.n_paths, _BATCH)):
+        count = min(_BATCH, mc.n_paths - lo)
+        gen = path_generator(mc.seed, b)
+        coarse, mid, fine = (np.zeros((count, cfg.N)) for _ in range(3))
+        for x in (coarse, mid, fine):
+            x[:, 0] = math.sqrt(cfg.N)
+        normals = np.empty((4, count, cfg.N))
+        for _ in range(n0):
+            gen.standard_normal(out=normals)
+            # renormalized pairwise sums keep unit variance at coarser levels
+            halves = (normals[0::2] + normals[1::2]) / root2
+            for g in normals:
+                _projected_step(fine, g, h / 4)
+            for g in halves:
+                _projected_step(mid, g, h / 2)
+            _projected_step(coarse, (halves[0] + halves[1]) / root2, h)
+        ends = []
+        for x in (coarse, mid, fine):
+            x[:, 0] -= cfg.m
+            ends.append(_monomial_values(x, alpha))
+        diffs_coarse[lo:lo + count] = ends[0] - ends[1]
+        diffs_mid[lo:lo + count] = ends[1] - ends[2]
     return _estimate(diffs_coarse), _estimate(diffs_mid)

@@ -9,7 +9,7 @@ violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +31,7 @@ from .operators import (
     second_derivative_sum,
 )
 from .polyalg import BasisIndexer, Polynomial
-from .sphere_mc import McConfig, mc_endpoints, mc_moment, path_generator, simulate_endpoint
+from .sphere_mc import _BATCH, McConfig, mc_endpoints, mc_moment, simulate_endpoint
 
 SUITES = ("operators", "eigen", "gaussian", "pde", "mc")
 
@@ -321,7 +321,7 @@ def run_mc_suite(paths: int = 20000, step_h: float = 2e-3, seed: int = 20240601)
     cfg = SphereConfig(N=6, t=0.5, k=3, ell=4)
     mc = McConfig(cfg=cfg, step_h=step_h, n_paths=paths, seed=seed)
 
-    end = simulate_endpoint(mc, path_generator(seed, 0))
+    end = simulate_endpoint(mc, 0)
     shifted = end.copy()
     shifted[0] += cfg.m
     rel = abs(float(np.linalg.norm(shifted)) - math.sqrt(cfg.N)) / math.sqrt(cfg.N)
@@ -329,12 +329,15 @@ def run_mc_suite(paths: int = 20000, step_h: float = 2e-3, seed: int = 20240601)
                       f"relative radius error {rel:.2e}"))
 
     ends = mc_endpoints(mc, workers=1)
-    ends2 = mc_endpoints(mc, workers=2)
-    out.append(_check("estimates independent of worker count", np.array_equal(ends, ends2),
-                      "bitwise identical endpoints"))
+    # the pool only runs on two batches or more
+    pooled = mc if paths > _BATCH else replace(mc, n_paths=_BATCH + 1)
+    serial = ends if pooled is mc else mc_endpoints(pooled, workers=1)
+    out.append(_check("estimates independent of worker count",
+                      np.array_equal(serial, mc_endpoints(pooled, workers=2)),
+                      f"bitwise identical endpoints over {-(-pooled.n_paths // _BATCH)} batches"))
 
-    single = simulate_endpoint(mc, path_generator(seed, paths // 2))
-    out.append(_check("per-path streams match batched runs",
+    single = simulate_endpoint(mc, paths // 2)
+    out.append(_check("single paths match batched runs",
                       np.array_equal(single, ends[paths // 2]),
                       f"path {paths // 2} reproduced standalone"))
 

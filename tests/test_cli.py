@@ -308,7 +308,18 @@ def test_mc_command(capsys):
                "--paths", "2000", "--step", "2e-3", "--seed", "5"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "estimate" in out and "matexp" in out and "O(step_h)" in out
+    assert "estimate" in out and "exact" in out and "O(step_h)" in out
+
+
+def test_mc_reference_names_the_exact_eigen_route(capsys):
+    # the reference is the eigen route's exact exp-sum; no matrix exponential runs
+    rc = main(["mc", "--monomial", "0,2", "--N", "8", "--t", "1",
+               "--paths", "200", "--step", "0.05", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    line = next(l for l in out.splitlines() if not l.startswith(("monomial", "estimate", "note")))
+    assert line.startswith("exact    = ") and "eigen route" in line
+    assert "matexp" not in out
 
 
 def test_mc_reference_is_exact_at_large_n(capsys):
@@ -317,7 +328,7 @@ def test_mc_reference_is_exact_at_large_n(capsys):
                "--paths", "2000", "--step", "1e-2", "--seed", "1"])
     out = capsys.readouterr().out
     assert rc == 0
-    line = next(l for l in out.splitlines() if l.startswith("matexp"))
+    line = next(l for l in out.splitlines() if l.startswith("exact"))
     assert float(line.split("=")[1].split()[0]) == pytest.approx(3.82567147215084, rel=1e-13)
 
 

@@ -10,15 +10,15 @@ import pytest
 from sphereheat.eigenmethod import heat_moment_x1_eigen
 from sphereheat.operators import SphereConfig
 from sphereheat.sphere_mc import (
+    _BATCH,
     McConfig,
     McEstimate,
-    _path_streams,
+    _batch_streams,
+    _projected_step,
     _radial_step,
-    _walk,
     mc_endpoints,
     mc_moment,
     mc_refinement_diffs,
-    path_generator,
     simulate_endpoint,
 )
 
@@ -38,7 +38,7 @@ def make_mc(n=6, t=0.5, k=2, paths=2000, h=2e-3, seed=SEED, ell=4):
 
 def test_zero_time_returns_base_point():
     mc = make_mc(t=0.0)
-    end = simulate_endpoint(mc, path_generator(SEED, 0))
+    end = simulate_endpoint(mc, 0)
     assert end[0] == pytest.approx(0.0, abs=1e-14)  # sqrt(N) - m(0, N) = 0
     assert np.all(end[1:] == 0.0)
 
@@ -46,7 +46,7 @@ def test_zero_time_returns_base_point():
 def test_radius_preserved_after_every_step():
     cfg = SphereConfig(N=5, t=0.2, k=2, ell=2)
     mc = McConfig(cfg=cfg, step_h=1e-2, n_paths=1, seed=3)
-    end = simulate_endpoint(mc, path_generator(3, 0))
+    end = simulate_endpoint(mc, 0)
     shifted = end.copy()
     shifted[0] += cfg.m
     rel = abs(np.linalg.norm(shifted) - math.sqrt(5)) / math.sqrt(5)
@@ -63,7 +63,8 @@ def test_step_sizes_cover_time_exactly():
 
 
 def test_bitwise_determinism():
-    mc = make_mc(paths=1500)
+    mc = make_mc(paths=_BATCH + _BATCH // 2)
+    assert mc.n_paths > _BATCH  # two batches, so workers=2 runs the pool
     a = mc_endpoints(mc, workers=1)
     b = mc_endpoints(mc, workers=1)
     c = mc_endpoints(mc, workers=2)
@@ -75,31 +76,65 @@ def test_bitwise_determinism():
 
 
 def test_single_path_matches_batched_run():
-    mc = make_mc(paths=1100)  # crosses one batch boundary
+    mc = make_mc(paths=_BATCH + 76)
+    assert mc.n_paths > _BATCH  # the last path is in a second, partial batch
     ends = mc_endpoints(mc, workers=1)
-    for p in (0, 1023, 1024, 1099):
-        single = simulate_endpoint(mc, path_generator(SEED, p))
-        assert np.array_equal(single, ends[p])
+    for p in (0, _BATCH - 1, _BATCH, mc.n_paths - 1):
+        assert np.array_equal(simulate_endpoint(mc, p), ends[p])
+    with pytest.raises(IndexError):
+        simulate_endpoint(mc, mc.n_paths)
 
 
-@pytest.mark.parametrize("seed, first", [(SEED, 0), (2**63 + 5, 2**32 - 1), (2**64 - 1, 2**40)])
-def test_reset_streams_equal_path_generator(seed, first):
-    for p, gen in enumerate(_path_streams(seed, first, first + 3), start=first):
-        ref = path_generator(seed, p)
-        assert np.array_equal(gen.standard_normal((5, 3)), ref.standard_normal((5, 3)))
-        assert np.array_equal(gen.chisquare(3, 4), ref.chisquare(3, 4))
-        assert np.array_equal(gen.bit_generator.random_raw(9), ref.bit_generator.random_raw(9))
+@pytest.mark.parametrize("seed, batch", [(SEED, 0), (2**63 + 5, 2**32 - 1), (2**64 - 1, 2**40)])
+def test_batch_streams_are_independent(seed, batch):
+    # eta, chi and z of one batch differ from each other and from the next batch's
+    draws = {tuple(gen.bit_generator.random_raw(8)) for b in (batch, batch + 1)
+             for gen in _batch_streams(seed, b)}
+    assert len(draws) == 6
+
+
+def test_full_batches_do_not_depend_on_the_path_count():
+    short = make_mc(paths=_BATCH + 10)
+    a = mc_endpoints(short, workers=1)
+    b = mc_endpoints(make_mc(paths=2 * _BATCH), workers=1)
+    assert np.array_equal(a[:_BATCH], b[:_BATCH])
+    assert np.array_equal(a, mc_endpoints(short, workers=2))
 
 
 def test_refinement_differences_are_unchanged():
-    # values of the full-space coupled walk with one Philox built per path
+    # values of the coupled full-space walk, one (4, count, N) draw per coarse step
     mc = McConfig(cfg=SphereConfig(N=4, t=1.0, k=2, ell=2), step_h=0.1,
                   n_paths=1100, seed=2**63 + 5)
     d1, d2 = mc_refinement_diffs(mc, (2, 0))
-    assert d1.mean == float.fromhex("-0x1.d7b6c42d26ed6p-8")
-    assert d1.stderr == float.fromhex("0x1.cddc4f8afabbap-10")
-    assert d2.mean == float.fromhex("-0x1.c3423b387eb8dp-8")
-    assert d2.stderr == float.fromhex("0x1.3dddb2a1376a2p-10")
+    assert d1.mean == float.fromhex("-0x1.499f69c24bc2dp-7")
+    assert d1.stderr == float.fromhex("0x1.18d1c7a79b34ep-9")
+    assert d2.mean == float.fromhex("-0x1.e4dc0de56b110p-9")
+    assert d2.stderr == float.fromhex("0x1.855964ad3e624p-10")
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_flat_in_steps():
+    # 256 paths in N = 8: a (paths, steps) buffer would take 39 MiB at 20 000 steps;
+    # the refinement's steps are its fine ones, four per coarse step
+    cfg = SphereConfig(N=8, t=1.0, k=2, ell=2)
+    peaks = []
+    for steps in (500, 20_000):
+        mc = McConfig(cfg=cfg, step_h=1.0 / steps, n_paths=256, seed=SEED)
+        peaks.append(_traced_peak(lambda: mc_endpoints(mc, workers=1)))
+    assert peaks[1] < 1.5 * peaks[0], peaks
+    peaks = []
+    for fine_steps in (500, 20_000):
+        mc = McConfig(cfg=cfg, step_h=4.0 / fine_steps, n_paths=256, seed=SEED)
+        peaks.append(_traced_peak(lambda: mc_refinement_diffs(mc, (2, 0))))
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_memory_does_not_grow_with_n_times_steps():
@@ -209,7 +244,9 @@ def test_radial_step_equals_the_full_projected_step(n):
         y_new, r_new = np.array([y]), np.array([r])
         _radial_step(y_new, r_new, np.array([math.sqrt(h / n) * eta]), np.array([h * chi]),
                      root_n)
-        full = _walk(x[None].copy(), g[None, None, :], np.array([h]))[0]
+        full = x[None].copy()
+        _projected_step(full, g[None], h)
+        full = full[0]
         assert y_new[0] == pytest.approx(full[0], rel=0, abs=1e-13 * root_n)
         assert r_new[0] == pytest.approx(np.linalg.norm(full[1:]), rel=0, abs=1e-13 * root_n)
 
@@ -228,7 +265,10 @@ def test_reduced_walk_has_the_projection_walks_law(n, k):
     for lo in range(0, paths, chunk):
         start = np.zeros((chunk, n))
         start[:, 0] = math.sqrt(n)
-        full[lo:lo + chunk] = _walk(start, rng.standard_normal((chunk, len(steps), n)), steps)
+        normals = rng.standard_normal((chunk, len(steps), n))
+        for j, h in enumerate(steps):
+            _projected_step(start, normals[:, j], h)
+        full[lo:lo + chunk] = start
     full[:, 0] -= cfg.m
     for alpha in itertools.product(range(5), repeat=k):
         if not 1 <= sum(alpha) <= 4:
