@@ -9,8 +9,6 @@ equations, all cross-validating one another.
 from .eigenmethod import (
     eigen_poly,
     eigen_poly_at_sqrtN,
-    heat_moment_x1_eigen,
-    limit_moment_x1,
     monomial_in_eigenbasis,
     t0_exact,
     t0_series,
@@ -63,9 +61,7 @@ __all__ = [
     "heat_apply_matexp",
     "heat_moment",
     "heat_moment_monomial",
-    "heat_moment_x1_eigen",
     "limit_density",
-    "limit_moment_x1",
     "marginal_compatibility",
     "mc_moment",
     "monomial_in_eigenbasis",

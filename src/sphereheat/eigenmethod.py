@@ -5,16 +5,15 @@ diagonalized by a family of monic polynomials p_n with exact rational
 coefficients (built by exact ratio recurrences) and eigenvalues
 lambda_n = -n (1 + (n-2)/N).  Expanding a monomial over that family,
 applying exp((t/2) D) eigenvalue by eigenvalue, and evaluating at sqrt(N)
-yields finite-N moments in closed form, kept symbolic as sums of rationals
-times exp(-s t/2) exp(q t/(2N)) N^(p/2) until :func:`evaluate_exp_sum`
-adds them exactly on one binary grid from shared powers of three bases.
+yields finite-N moments in closed form, polynomials in the drift
+m = sqrt(N) exp((t/2)(1/N - 1)): sums of rationals times m^j exp(-c t/N),
+which :func:`evaluate_exp_sum` adds exactly from powers of m and exp(-t/N).
 :func:`eigen_moment_terms` is the one exact derivation of the package:
 :mod:`sphereheat.heatop` reduces every moment to first-coordinate parts
 and sums their eigen expansions through it.
 
 The module also carries the 1/N power-series machinery for the rational
-factor t0(h) that drives the large-N moment analysis, and the limiting
-moment formula itself.
+factor t0(h) that drives the large-N moment analysis.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from typing import Mapping, Sequence
 
 import mpmath
 
-from .gaussian_limit import even_moment_factor, var_first
-from .operators import SphereConfig
 from .polyalg import Polynomial
 
 
@@ -228,65 +225,85 @@ def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
 # ----------------------------------------------------------------------
 
 
+_ROUNDING_SLACK = 1e-6  # truncation error allowed, in ulps of the value, before a re-pass
+
+
 def evaluate_exp_sum(
-    terms: Mapping[tuple[int, int, int], Fraction], N: int, t: float
+    terms: Mapping[tuple[int, int], Fraction], N: int, t: float
 ) -> tuple[float, float]:
-    """Value and error bound of  sum weight * exp(-s t/2) * exp(q t/(2N)) * N^(p/2).
+    """Value and error bound of  sum w m^j exp(-c t/N)  over (j, c) -> w, with
+    the drift m = sqrt(N) exp((t/2)(1/N - 1)); weights must be nonzero.
 
     The terms can cancel from their largest magnitude 10^top down to an O(1)
-    result, so they are carried to dps = ceil(top) + 30 digits: the bases
-    a = exp(-t/2), b = exp(t/(2N)), sqrt(N) and each distinct power of them
-    are taken once at P bits, each term is truncated to an integer multiple
-    of 2^g <= 2^-10 10^(top - dps), and the integers are summed exactly
-    before one correctly rounded division.  Weights must be nonzero.
+    result, so they are carried to dps = ceil(top) + 30 digits: m, e = exp(-t/N)
+    and each distinct power of them are taken once at P bits, each term is
+    truncated to an integer multiple of 2^g <= 2^-10 10^(top - dps), and the
+    integers are summed exactly before one correctly rounded division.  If
+    this truncation part of the bound exceeds ``_ROUNDING_SLACK`` ulps of the
+    value, the sum is taken once more with dps raised by the digits the
+    cancellation took, top - log10 |value| (top - log10 of that part if the
+    value is 0).  So the value is the double nearest the exact sum unless that
+    sum lies within ``_ROUNDING_SLACK`` ulps of a midpoint between two doubles.
 
-    Error: with u = 2^(1-P), a and sqrt(N) are within u, b within (1 + t) u
-    (its argument is rounded too), each power rounds once more and the
-    products of a term are exact, so a term's transcendental factor is
-    within K u, K = |s| + (1 + t) |q| + 8, relatively.  P is dps digits plus
+    Error: with u = 2^(1-P), each rounded operation is within u.  The
+    argument t (1-N)/(2N), below t/2 in size, takes two roundings, so m is
+    within (3 + t) u with its exp, sqrt(N) and product; -t/N takes one, so e
+    is within (1 + t) u.  A power x^j of a base within a u is within
+    (j a + 1) u and a term's products are exact, so its transcendental
+    factor is within K u, K = (3 + t) j + (1 + t) c + 8, the 8 covering both
+    powers' roundings and every second-order term.  P is dps digits plus
     bit_length(K) + 11 bits, so K u < 2^-10 10^-dps, and a term of at most
     10^top is off by less than 2^-9 10^(top - dps): well inside the bound's
     10^(top + 1 - dps) per term, besides half an ulp of the double.
     """
+    log10_m = math.log10(N) / 2 + t * (1 / N - 1) / (2 * math.log(10))
     top = max((  # log10 of the largest term
         math.log10(abs(w.numerator)) - math.log10(w.denominator)
-        + (-s * t / 2 + q * t / (2 * N)) / math.log(10) + p * math.log10(N) / 2
-        for (s, q, p), w in terms.items()
+        + j * log10_m - c * t / (N * math.log(10))
+        for (j, c), w in terms.items()
     ), default=0.0)
     dps = max(math.ceil(top), 0) + 30
-    k_max = math.ceil(max((abs(s) + (1 + t) * abs(q) for s, q, _ in terms), default=0) + 8)
+    value, trunc = _exp_sum_at(terms, N, t, top, dps)
+    if trunc > _ROUNDING_SLACK * math.ulp(value):
+        dps += math.ceil(top - math.log10(abs(value) or trunc))
+        value, trunc = _exp_sum_at(terms, N, t, top, dps)
+    return value, 0.5 * math.ulp(value) + trunc
+
+
+def _exp_sum_at(terms: Mapping, N: int, t: float, top: float, dps: int) -> tuple[float, float]:
+    """The exp-sum of :func:`evaluate_exp_sum` at dps digits, largest term 10^top,
+    and the truncation part of its bound."""
+    k_max = math.ceil(max(((3 + t) * j + (1 + t) * c for j, c in terms), default=0) + 8)
     g = math.floor((top - dps) * math.log2(10)) - 10
     with mpmath.workprec(math.ceil(dps * math.log2(10)) + k_max.bit_length() + 11):
-        a, b = mpmath.exp(-mpmath.mpf(t) / 2), mpmath.exp(mpmath.mpf(t) / (2 * N))
-        root_man, root_exp = mpmath.sqrt(N).man_exp  # (mantissa, exponent) pairs from here
-        a_pow = {s: (a**s).man_exp for s in {s for s, _, _ in terms}}
-        b_pow = {q: (b**q).man_exp for q in {q for _, q, _ in terms}}
-    n_pow = {p: (root_man * N ** (p // 2), root_exp) if p % 2 else (N ** (p // 2), 0)
-             for p in {p for _, _, p in terms}}
+        tt = mpmath.mpf(t)
+        m, e = mpmath.sqrt(N) * mpmath.exp(tt * (1 - N) / (2 * N)), mpmath.exp(-tt / N)
+        m_pow = {j: (m**j).man_exp for j in {j for j, _ in terms}}  # (mantissa, exponent)
+        e_pow = {c: (e**c).man_exp for c in {c for _, c in terms}}
     total = 0
-    for (s, q, p), w in terms.items():
-        (ma, ea), (mb, eb), (mn, en) = a_pow[s], b_pow[q], n_pow[p]
-        shift = ea + eb + en - g
+    for (j, c), w in terms.items():
+        (mm, em), (me, ee) = m_pow[j], e_pow[c]
+        shift = em + ee - g
         if shift >= 0:
-            total += (w.numerator * ma * mb * mn << shift) // w.denominator
+            total += (w.numerator * mm * me << shift) // w.denominator
         else:
-            total += w.numerator * ma * mb * mn // (w.denominator << -shift)
+            total += w.numerator * mm * me // (w.denominator << -shift)
     value = total / (1 << -g) if g < 0 else float(total << g)
-    return value, 0.5 * math.ulp(value) + len(terms) * 10.0 ** (top + 1 - dps)
+    return value, len(terms) * 10.0 ** (top + 1 - dps)
 
 
 @dataclass(frozen=True)
 class FiniteMomentX1:
     """Symbolic finite-N moment of x1^n.
 
-    ``terms`` maps integer triples (s, q, p) to exact rational weights; the
-    moment is  sum  weight * exp(-s t/2) * exp(q t/(2N)) * N^(p/2).
+    ``terms`` maps integer pairs (j, c) to exact rational weights; the moment
+    is  sum  weight * m^j * exp(-c t/N)  in the drift m = sqrt(N) exp((t/2)(1/N - 1)).
     Transcendental factors enter only at evaluation time.
     """
 
     n: int
     N: int
-    terms: Mapping[tuple[int, int, int], Fraction]
+    terms: Mapping[tuple[int, int], Fraction]
 
     def evaluate_extended(self, t: float) -> float:
         """Numeric value of the moment, through :func:`evaluate_exp_sum`."""
@@ -296,24 +313,25 @@ class FiniteMomentX1:
 @lru_cache(maxsize=256)
 def eigen_moment_terms(
     N: int, parts: tuple[tuple[tuple[int, Fraction], ...], ...]
-) -> Mapping[tuple[int, int, int], Fraction]:
-    """Exact moment  sum_i m^i E[g_i(y1)]  as (s, q, p) -> weight terms.
+) -> Mapping[tuple[int, int], Fraction]:
+    """Exact moment  sum_i m^i E[g_i(y1)]  as (j, c) -> w terms, w m^j exp(-c t/N).
 
-    ``parts[i]`` holds the (n, c) pairs of g_i = sum c y1^n.  Each y1^n is
-    expanded over the eigenbasis, each p_d scaled by exp(t lambda_d / 2) and
-    evaluated at sqrt(N): the key (d, -d (d-2), d).  The drift power
-    m^i = N^(i/2) exp(-i t/2) exp(i t/(2N)) shifts a key by (i, i, i).
-    Memoized per (parts, N), so every t shares it; the mapping is read-only.
-    The eigenvalues are distinct for N >= 2: lambda_a = lambda_b means
+    ``parts[i]`` holds the (n, coeff) pairs of g_i = sum coeff y1^n.  Each y1^n
+    is expanded over the eigenbasis and each p_d scaled by exp(t lambda_d / 2)
+    and evaluated at sqrt(N): with lambda_d = -d - d (d-2)/N, that is
+    p_d(sqrt N) / N^(d/2) times m^d exp(-d (d-1) t/(2N)), the key
+    (d, d (d-1)/2); the drift power m^i adds i to j.  Memoized per
+    (parts, N), so every t shares it; the mapping is read-only.  The
+    eigenvalues are distinct for N >= 2: lambda_a = lambda_b means
     (a - b) (N - 2 + a + b) = 0.
     """
-    terms: dict[tuple[int, int, int], Fraction] = {}
+    terms: dict[tuple[int, int], Fraction] = {}
     for i, g in enumerate(parts):
         for n, coeff in g:
-            for j, c in enumerate(monomial_in_eigenbasis(n, N)):
-                d = n - 2 * j
-                key = (i + d, i - d * (d - 2), i + d)
-                terms[key] = terms.get(key, 0) + coeff * c * eigen_poly_at_sqrtN(d, N)
+            for k, b in enumerate(monomial_in_eigenbasis(n, N)):
+                d = n - 2 * k
+                key = (i + d, d * (d - 1) // 2)
+                terms[key] = terms.get(key, 0) + coeff * b * eigen_poly_at_sqrtN(d, N)
     return MappingProxyType({k: w for k, w in terms.items() if w})
 
 
@@ -325,24 +343,6 @@ def finite_moment_x1(n: int, N: int) -> FiniteMomentX1:
         raise ValueError("n must be >= 0")
     parts = tuple(((n - i, Fraction(math.comb(n, i) * (-1) ** i)),) for i in range(n + 1))
     return FiniteMomentX1(n=n, N=N, terms=eigen_moment_terms(N, parts))
-
-
-def heat_moment_x1_eigen(n: int, cfg: SphereConfig) -> float:
-    """Finite-N heat-kernel moment of x1^n by the eigen route."""
-    if n > cfg.ell:
-        raise ValueError(f"degree {n} exceeds configured cap {cfg.ell}")
-    return finite_moment_x1(n, cfg.N).evaluate_extended(cfg.t)
-
-
-def limit_moment_x1(n: int, t: float) -> float:
-    """Large-N limit of the x1^n moment:
-    (n-1)!! (1 - e^{-t} - t e^{-t})^(n/2) for even n, zero for odd n.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n % 2:
-        return 0.0
-    return even_moment_factor(n) * var_first(t) ** (n // 2)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ the 1-D lattice of degrees D reaches from the parts, evaluated at sqrt(N):
 proven tail bound in the exact 1-norm plus a rounding estimate, and
 ``matexp`` a scaling-and-squaring matrix exponential.  With
 ``precision="extended"`` the moment is instead the exact sum of the parts'
-eigen expansions from :mod:`sphereheat.eigenmethod`.  What does not depend
+eigen expansions from :mod:`sphereheat.eigenmethod`, a polynomial in the
+drift m: sum w m^j exp(-c t/N) with rational w.  What does not depend
 on t (the parts, the lattice, its float operator, the base point values) is
 memoized per (polynomial, N), and no result depends on that cache.
 

@@ -21,19 +21,29 @@ def clear_caches():
 
 
 @pytest.fixture
-def within_300_digit_sum():
-    """Whether |value - sum w exp(-s t/2) exp(q t/(2N)) sqrt(N)^p| <= bound, with the
-    sum taken at 300 digits, one exp and power per term."""
+def sum_300_digits():
+    """The exp-sum  sum w m^j exp(-c t/N)  over (j, c) -> w, taken at 300 digits
+    from its own m = sqrt(N) exp((t/2)(1/N - 1)) and exp(-t/N), one power of
+    each per term."""
 
     def direct(terms, N, t):
-        tt = mpmath.mpf(t)
-        return mpmath.fsum(
-            mpmath.mpf(w.numerator) / w.denominator
-            * mpmath.exp(-s * tt / 2 + mpmath.mpf(q) * tt / (2 * N)) * mpmath.sqrt(N) ** p
-            for (s, q, p), w in terms.items())
+        with mpmath.workdps(300):
+            tt = mpmath.mpf(t)
+            m = mpmath.sqrt(N) * mpmath.exp(tt / 2 * (mpmath.mpf(1) / N - 1))
+            e = mpmath.exp(-tt / N)
+            return mpmath.fsum(mpmath.mpf(w.numerator) / w.denominator * m**j * e**c
+                               for (j, c), w in terms.items())
+
+    return direct
+
+
+@pytest.fixture
+def within_300_digit_sum(sum_300_digits):
+    """Whether |value - sum w m^j exp(-c t/N)| <= bound, the sum over (j, c) -> w
+    taken at 300 digits by :func:`sum_300_digits`."""
 
     def within(terms, N, t, value, bound):
         with mpmath.workdps(300):
-            return abs(mpmath.mpf(value) - direct(terms, N, t)) <= bound
+            return abs(mpmath.mpf(value) - sum_300_digits(terms, N, t)) <= bound
 
     return within

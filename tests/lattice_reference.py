@@ -31,15 +31,17 @@ def lattice(N, k, terms, include_mixed_term=True):
 
 
 def lattice_terms(N, k, terms, include_mixed_term=True):
-    """Exact moment on the :func:`lattice`, as (s, q, p) -> weight terms.
+    """Exact moment on the :func:`lattice`, as (j, c) -> weight terms, one term
+    being w m^j exp(-c t/N).
 
     h_c, the value of exp((t/2) L) y^c at the base point, solves
     dh_c/dt = (lambda_c h_c + sum_c' L_cc' h_c') / 2, where the sphere rule
     maps y^c to its rate lambda_c times y^c plus lowered y^c' of strictly
     larger rates.  So each e^(r t/2) of a lowered h_c' enters h_c divided by
-    r - lambda_c, and e^(lambda_c t/2) takes what remains of h_c(0).  A term
-    is w e^(-s t/2) e^(q t/(2N)) N^(p/2); the drift power m^i shifts a key
-    by (i, i, i).
+    r - lambda_c, and e^(lambda_c t/2) takes what remains of h_c(0).  The
+    solve keys a term w e^(-s t/2) e^(q t/(2N)) N^(p/2) by (s, q, p), and the
+    drift power m^i shifts a key by (i, i, i); :func:`to_drift_powers` then
+    writes each term in m.
     """
     parts, images = lattice(N, k, terms, include_mixed_term)
     at_pole = {}
@@ -64,7 +66,21 @@ def lattice_terms(N, k, terms, include_mixed_term=True):
         for beta, coeff in g.terms.items():
             for (s, q, p), w in at_pole[beta].items():
                 total[s + i, q + i, p + i] = total.get((s + i, q + i, p + i), 0) + coeff * w
-    return MappingProxyType({key: w for key, w in total.items() if w})
+    return MappingProxyType(to_drift_powers(total, N))
+
+
+def to_drift_powers(terms, N):
+    """(s, q, p) -> w terms as (j, c) -> weight: since
+    m^s = N^(s/2) e^(-s t/2) e^(s t/(2N)), a term is w N^((p-s)/2) m^s
+    e^(-(s-q) t/(2N)), the key (s, (s - q)/2).  Every key must have p = s
+    (mod 2) and s - q even and >= 0, so that the weight stays rational and
+    the rate is one of the form."""
+    out = {}
+    for (s, q, p), w in terms.items():
+        assert (p - s) % 2 == 0 and (s - q) % 2 == 0 and s >= q, (s, q, p)
+        key = (s, (s - q) // 2)
+        out[key] = out.get(key, 0) + w * Fraction(N) ** ((p - s) // 2)
+    return {key: w for key, w in out.items() if w}
 
 
 def lattice_moment(cfg, alpha, include_mixed_term=True):
@@ -74,10 +90,12 @@ def lattice_moment(cfg, alpha, include_mixed_term=True):
 
 
 def canonical(terms, N):
-    """The exp-sum in a form that does not depend on how it was derived: keyed
-    (rate q/N - s, p mod 2), weighted w N^(p//2), zero weights dropped."""
+    """The exp-sum in a form that does not depend on how it was derived: a
+    (j, c) -> w term, w m^j exp(-c t/N), keyed by its rate (j - 2c)/N - j in
+    units of t/2 and by j mod 2, weighted w N^(j//2), zero weights dropped:
+    (j, c) and (j + 2, c - N + 1), say, are one function up to the factor N."""
     out = {}
-    for (s, q, p), w in terms.items():
-        key = (Fraction(q, N) - s, p % 2)
-        out[key] = out.get(key, 0) + w * Fraction(N) ** (p // 2)
+    for (j, c), w in terms.items():
+        key = (Fraction(j - 2 * c, N) - j, j % 2)
+        out[key] = out.get(key, 0) + w * Fraction(N) ** (j // 2)
     return {key: w for key, w in out.items() if w}

@@ -15,7 +15,6 @@ from scipy.linalg import expm
 from sphereheat.eigenmethod import (
     eigen_poly,
     eigen_poly_at_sqrtN,
-    heat_moment_x1_eigen,
     monomial_in_eigenbasis,
     pw_discrepancy_report,
     pw_product_form,
@@ -113,7 +112,7 @@ def test_criterion_03_exact_second_moments():
             first_vals = [
                 heat_moment_monomial(cfg1, (2,), route=r).value
                 for r in ("matexp", "series")
-            ] + [heat_moment_x1_eigen(2, cfg1)]
+            ] + [heat_moment_monomial(cfg1, (2,), precision="extended").value]
             exact_first = x1sq_closed_form(n, t)
             worst_first = max(worst_first, *(abs(v - exact_first) for v in first_vals))
             worst_pair = max(
@@ -138,7 +137,7 @@ def test_criterion_04_limit_convergence_rate():
                     v = heat_moment_monomial(cfg, alpha).value
                 else:
                     cfg = SphereConfig(N=n, t=t, k=1, ell=4)
-                    v = heat_moment_x1_eigen(alpha[0], cfg)
+                    v = heat_moment_monomial(cfg, alpha[:1], precision="extended").value
                 errs.append(abs(v - gaussian_moment(alpha, t)))
             slope = float(np.polyfit(np.log(n_sweep), np.log(errs), 1)[0])
             slopes[(alpha, t)] = slope
@@ -158,7 +157,8 @@ def test_criterion_04_limit_convergence_rate():
     )
 
     cfg = SphereConfig(N=512, t=1.0, k=1, ell=2)
-    err512 = abs(heat_moment_x1_eigen(2, cfg) - gaussian_moment((2,), 1.0))
+    err512 = abs(heat_moment_monomial(cfg, (2,), precision="extended").value
+                 - gaussian_moment((2,), 1.0))
     asymptotic = math.exp(-1.0) / 2.0 / 512.0
     asym_ok = abs(err512 - asymptotic) / asymptotic <= 0.10
     elapsed = time.monotonic() - start

@@ -249,7 +249,8 @@ def test_verify_subcommand_exit_zero(capsys):
 
 def test_verify_reports_a_broken_constructor_identity_as_fail(monkeypatch, capsys,
                                                               clear_caches):
-    # eigen_poly_at_sqrtN asserts that its product form agrees with direct evaluation
+    # eigen_poly_at_sqrtN asserts that its product form agrees with direct evaluation;
+    # each check runs on its own, so the checks that do not call it still pass
     product_form = eigenmethod.pw_product_form
     monkeypatch.setattr(eigenmethod, "pw_product_form", lambda n, N: product_form(n, N) + 1)
     clear_caches()
@@ -261,6 +262,17 @@ def test_verify_reports_a_broken_constructor_identity_as_fail(monkeypatch, capsy
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out and "product form disagrees" in out and "verification: FAIL" in out
+    assert [line.split("  (")[0].split(None, 1) for line in out.splitlines()[1:-1]] == [
+        ["PASS", "eigen-relation and basis round trip exact (n<=12)"],
+        ["FAIL", "product form equals direct evaluation (n<=12, N<=100)"],
+        ["FAIL", "simplified-form discrepancy report"],
+        ["FAIL", "value ratio parity-independent: (N+n-2)/(N+2n-2)"],
+        ["PASS", "eigenvalues pairwise distinct"],
+        ["PASS", "series leading coefficients (-1)^l 2^(j-l)/l!"],
+        ["PASS", "series remainder scales like N^-(L+1+j)"],
+        ["FAIL", "eigen route matches operator route"],
+    ]
+    assert out.count("AssertionError: product form disagrees") == 4
 
 
 def test_usage_error_exits_two():

@@ -1,8 +1,10 @@
 """Exact eigen-polynomial machinery and the closed-form moment route."""
 
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from sphereheat.eigenmethod import (
@@ -16,8 +18,6 @@ from sphereheat.eigenmethod import (
     evaluation_ratio,
     falling,
     finite_moment_x1,
-    heat_moment_x1_eigen,
-    limit_moment_x1,
     monomial_in_eigenbasis,
     pw_discrepancy_report,
     pw_product_form,
@@ -195,17 +195,16 @@ def test_first_moment_is_exactly_zero():
         fm = finite_moment_x1(1, n_sphere)
         assert fm.terms == {}  # the two drift terms cancel symbolically
         for t in (0.5, 1.0, 2.0):
-            cfg = SphereConfig(N=n_sphere, t=t, k=1, ell=1)
-            assert heat_moment_x1_eigen(1, cfg) == 0.0
+            assert fm.evaluate_extended(t) == 0.0
 
 
 def test_second_moment_symbolic_terms():
     fm = finite_moment_x1(2, 8)
-    # 1 + (N-1) e^{-t} - N e^{-t} e^{t/N}, stored normalized by N^(p/2)
+    # 1 + (N-1) e^{-t} - N e^{-t} e^{t/N} = 1 + (7/8) m^2 e^{-t/N} - m^2
     assert fm.terms == {
-        (0, 0, 0): Fraction(1),
-        (2, 0, 2): Fraction(7, 8),
-        (2, 2, 2): Fraction(-1),
+        (0, 0): Fraction(1),
+        (2, 1): Fraction(7, 8),
+        (2, 0): Fraction(-1),
     }
 
 
@@ -226,12 +225,53 @@ def test_exp_sum_is_within_its_bound_of_a_300_digit_sum(N, within_300_digit_sum)
             assert within_300_digit_sum(terms, N, t, *evaluate_exp_sum(terms, N, t)), (n, t)
 
 
+def test_exact_route_returns_the_double_nearest_the_exact_sum(sum_300_digits):
+    # a few of these sums cancel so far below their largest term that 30 spare
+    # digits miss the nearest double: x1^19 at N = 10^6, t = 0.1 needs a re-pass
+    for n in range(25):
+        for N in (2, 3, 16, 1024, 10**6):
+            terms = finite_moment_x1(n, N).terms
+            for t in (0.1, 0.5, 1, 2, 4):
+                value, _ = evaluate_exp_sum(terms, N, t)
+                assert value == float(sum_300_digits(terms, N, t)), (n, N, t)
+
+
+def _rounded_fraction(x, digits):
+    """The mpf x rounded to ``digits`` significant digits, as a Fraction."""
+    with mpmath.workdps(digits):
+        x = +x
+    man, exp = x.man_exp  # of |x|
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("t", [0.1, 4.0])
+@pytest.mark.parametrize("N", [2, 3, 10**6])
+def test_exp_sum_bound_holds_at_large_powers(N, t, sum_300_digits, within_300_digit_sum):
+    # the power error K = (3 + t) j + (1 + t) c + 8 is largest at j = 50, c = 1200.
+    # A constant term cancels the others' sum at this t to 20, 40 or 60 digits.  At 60
+    # with every term below 1 (N <= 3, t = 4) the first pass, 30 digits below the
+    # largest term, gives noise, and one re-pass from it falls short of the nearest
+    # double, so only the bound is asserted there
+    rng = random.Random(f"{N} {t}")
+    for i in range(24):
+        keys = {(50, 1200), (50, 0), (0, 1200)}
+        keys |= {(rng.randint(0, 50), rng.randint(1, 1200)) for _ in range(9)}
+        terms = {key: Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+                 for key in keys}
+        digits = (None, 20, 40, 60)[i % 4]
+        if digits:
+            terms[0, 0] = -_rounded_fraction(sum_300_digits(terms, N, t), digits)
+        value, bound = evaluate_exp_sum(terms, N, t)
+        assert within_300_digit_sum(terms, N, t, value, bound), (i, digits)
+        if digits != 60:
+            assert value == float(sum_300_digits(terms, N, t)), (i, digits)
+
+
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_second_moment_closed_form(t):
     for n in (4, 16, 64):
-        cfg = SphereConfig(N=n, t=t, k=1, ell=2)
         expect = 1.0 + (n - 1) * math.exp(-t) - n * math.exp(-t * (1 - 1 / n))
-        assert heat_moment_x1_eigen(2, cfg) == pytest.approx(expect, abs=1e-13)
+        assert finite_moment_x1(2, n).evaluate_extended(t) == pytest.approx(expect, abs=1e-13)
 
 
 def test_cross_route_agreement():
@@ -240,7 +280,7 @@ def test_cross_route_agreement():
         for t in (0.5, 1.0, 2.0):
             cfg = SphereConfig(N=n_sphere, t=t, k=1, ell=12)
             for n in range(13):
-                ev = heat_moment_x1_eigen(n, cfg)
+                ev = finite_moment_x1(n, n_sphere).evaluate_extended(t)
                 # two exact derivations, each rounded once to a double
                 value, bound = lattice_moment(cfg, (n,))
                 assert abs(ev - value) <= 2 * bound, (n_sphere, t, n)
@@ -253,18 +293,17 @@ def test_cross_route_agreement():
 
 def test_high_power_at_large_n_keeps_its_digits():
     # terms near 1e60 cancel down to about 1e3; the true gap to the limit is 4.4e-4
-    cfg = SphereConfig(N=10**6, t=1.0, k=1, ell=20)
     limit = gaussian_moment((20,), 1.0)
-    assert abs(heat_moment_x1_eigen(20, cfg) - limit) <= 1e-3 * limit
+    assert abs(finite_moment_x1(20, 10**6).evaluate_extended(1.0) - limit) <= 1e-3 * limit
 
 
 def test_limit_moment_closed_forms():
     t = 1.3
     v = var_first(t)
-    assert limit_moment_x1(2, t) == pytest.approx(v)
-    assert limit_moment_x1(3, t) == 0.0
-    assert limit_moment_x1(4, t) == pytest.approx(3 * v**2)
-    assert limit_moment_x1(0, t) == 1.0
+    assert gaussian_moment((2,), t) == pytest.approx(v)
+    assert gaussian_moment((3,), t) == 0.0
+    assert gaussian_moment((4,), t) == pytest.approx(3 * v**2)
+    assert gaussian_moment((0,), t) == 1.0
 
 
 def test_convergence_rate_to_limit():
@@ -273,9 +312,8 @@ def test_convergence_rate_to_limit():
         for t in (0.5, 1.0):
             errs = {}
             for n_sphere in (64, 128, 256, 512):
-                cfg = SphereConfig(N=n_sphere, t=t, k=1, ell=6)
                 errs[n_sphere] = abs(
-                    heat_moment_x1_eigen(n, cfg) - limit_moment_x1(n, t)
+                    finite_moment_x1(n, n_sphere).evaluate_extended(t) - gaussian_moment((n,), t)
                 )
             for n_sphere in (64, 128, 256):
                 ratio = errs[n_sphere] / errs[2 * n_sphere]
@@ -285,18 +323,14 @@ def test_convergence_rate_to_limit():
 def test_second_moment_error_asymptotics():
     # leading error of the n=2 moment is e^{-t} t^2 / (2N)
     t, n_sphere = 1.0, 512
-    cfg = SphereConfig(N=n_sphere, t=t, k=1, ell=2)
-    err = abs(heat_moment_x1_eigen(2, cfg) - limit_moment_x1(2, t))
+    err = abs(finite_moment_x1(2, n_sphere).evaluate_extended(t) - gaussian_moment((2,), t))
     predicted = math.exp(-t) * t**2 / (2 * n_sphere)
     assert abs(err - predicted) / predicted <= 0.10
 
 
 def test_n_large_limit_of_second_moment():
     t = 0.8
-    vals = [
-        heat_moment_x1_eigen(2, SphereConfig(N=n, t=t, k=1, ell=2))
-        for n in (128, 512, 2048)
-    ]
+    vals = [finite_moment_x1(2, n).evaluate_extended(t) for n in (128, 512, 2048)]
     target = 1 - math.exp(-t) - t * math.exp(-t)
     gaps = [abs(v - target) for v in vals]
     assert gaps[0] > gaps[1] > gaps[2]

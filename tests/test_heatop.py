@@ -505,9 +505,9 @@ def test_shared_memo_results_are_read_only():
         with pytest.raises(ValueError):
             array[0] = 1.0
     with pytest.raises(TypeError):
-        eigen_moment_terms(16, parts)[0, 0, 0] = Fraction(1)
+        eigen_moment_terms(16, parts)[0, 0] = Fraction(1)
     with pytest.raises(TypeError):
-        finite_moment_x1(4, 16).terms[0, 0, 0] = Fraction(1)
+        finite_moment_x1(4, 16).terms[0, 0] = Fraction(1)
 
 
 def test_moment_memos_are_bounded():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sphereheat.eigenmethod import heat_moment_x1_eigen
+from sphereheat.heatop import heat_moment_monomial
 from sphereheat.operators import SphereConfig
 from sphereheat.sphere_mc import (
     _BATCH,
@@ -199,7 +199,7 @@ def test_first_second_moment_matches_eigen_route(medium_run):
     mc, ends = medium_run
     est = mc_moment(mc, (2, 0, 0), endpoints=ends)
     cfg1 = SphereConfig(N=8, t=1.0, k=1, ell=2)
-    exact = heat_moment_x1_eigen(2, cfg1)
+    exact = heat_moment_monomial(cfg1, (2,), precision="extended").value
     assert abs(est.mean - exact) <= 3 * est.stderr + 0.5 * mc.step_h
 
 
