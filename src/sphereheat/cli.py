@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verify as verify_mod
+from .eigenmethod import ExpSumPrecisionError
 from .gaussian_limit import gaussian_moment
 from .heatop import SeriesToleranceError, heat_moment_monomial
 from .operators import SphereConfig
@@ -138,7 +139,7 @@ def _route_value(
             return heat_moment_monomial(cfg, alpha, precision="extended").value, None, None
         res = heat_moment_monomial(cfg, alpha, route=route, precision=spec.precision)
         return res.value, None, None
-    except (ValueError, SeriesToleranceError) as exc:
+    except (ValueError, SeriesToleranceError, ExpSumPrecisionError) as exc:
         return None, None, str(exc)
 
 

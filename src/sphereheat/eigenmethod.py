@@ -226,6 +226,11 @@ def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
 
 
 _ROUNDING_SLACK = 1e-6  # truncation error allowed, in ulps of the value, before a re-pass
+_MAX_DPS = 2000  # digit budget of one exp-sum
+
+
+class ExpSumPrecisionError(RuntimeError):
+    """An exp-sum cancels too far to reach the nearest double within ``_MAX_DPS`` digits."""
 
 
 def evaluate_exp_sum(
@@ -238,12 +243,14 @@ def evaluate_exp_sum(
     result, so they are carried to dps = ceil(top) + 30 digits: m, e = exp(-t/N)
     and each distinct power of them are taken once at P bits, each term is
     truncated to an integer multiple of 2^g <= 2^-10 10^(top - dps), and the
-    integers are summed exactly before one correctly rounded division.  If
+    integers are summed exactly before one correctly rounded division.  While
     this truncation part of the bound exceeds ``_ROUNDING_SLACK`` ulps of the
-    value, the sum is taken once more with dps raised by the digits the
-    cancellation took, top - log10 |value| (top - log10 of that part if the
-    value is 0).  So the value is the double nearest the exact sum unless that
-    sum lies within ``_ROUNDING_SLACK`` ulps of a midpoint between two doubles.
+    value, dps rises by top - log10 |value|, the digits the cancellation took
+    (top - log10 of that part if the value is 0); from a noise value, below
+    that part, the rise is at least dps - 1 - log10(#terms), about a doubling.
+    Past ``_MAX_DPS`` digits it raises :class:`ExpSumPrecisionError`.  So the
+    value is the double nearest the exact sum unless that sum lies within
+    ``_ROUNDING_SLACK`` ulps of a midpoint between two doubles.
 
     Error: with u = 2^(1-P), each rounded operation is within u.  The
     argument t (1-N)/(2N), below t/2 in size, takes two roundings, so m is
@@ -264,8 +271,10 @@ def evaluate_exp_sum(
     ), default=0.0)
     dps = max(math.ceil(top), 0) + 30
     value, trunc = _exp_sum_at(terms, N, t, top, dps)
-    if trunc > _ROUNDING_SLACK * math.ulp(value):
+    while trunc > _ROUNDING_SLACK * math.ulp(value):
         dps += math.ceil(top - math.log10(abs(value) or trunc))
+        if dps > _MAX_DPS:
+            raise ExpSumPrecisionError(f"exp-sum at N={N}, t={t} cancels past {_MAX_DPS} digits")
         value, trunc = _exp_sum_at(terms, N, t, top, dps)
     return value, 0.5 * math.ulp(value) + trunc
 

@@ -17,7 +17,7 @@ memoized per (polynomial, N), and no result depends on that cache.
 
 :func:`heat_apply_matexp` exponentiates a dense operator matrix from
 :mod:`sphereheat.operators`; no moment uses it.  A stochastic route lives
-in :mod:`sphereheat.sphere_mc`.
+in :mod:`sphereheat.sphere_mc`.  Only the double matrix exponentials import SciPy.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.linalg import expm
 
 from .eigenmethod import eigen_moment_terms, eigenvalue, evaluate_exp_sum
 from .operators import OperatorMatrix, SphereConfig
@@ -154,6 +153,7 @@ def heat_apply_matexp(op: OperatorMatrix, t: float, precision: str = "double"):
     ``precision="extended"`` (50 significant digits).
     """
     if precision == "double":
+        from scipy.linalg import expm
         return expm(0.5 * t * op.to_float())
     if precision == "extended":
         with mpmath.workdps(50):
@@ -267,6 +267,7 @@ def heat_moment(
     p, m = block.shape[1], cfg.m
     scale_out = math.sqrt(cfg.N) ** f.degree()  # evaluation functional 1-norm bound
     if route == "matexp":
+        from scipy.linalg import expm
         exp_mat = expm(0.5 * cfg.t * mat)
         evolved = [exp_mat @ block[:, i] for i in range(p)]
         part_bounds = [1e-13 * float(np.sum(np.abs(v))) * scale_out for v in evolved]

@@ -43,7 +43,7 @@ whole batch of the path it returns.  The coupled refinement
 (:func:`mc_refinement_diffs`) still walks in the full space, because its
 coarse increments are sums of fine N-dimensional ones: each coarse step of
 batch b draws a (4, count, N) block of fine normals from the keyed
-generator.
+generator.  Only a run on more than one worker imports the process pool.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -207,7 +206,9 @@ def _worker_count(workers: int | None) -> int:
         return max(1, workers)
     env = os.environ.get("SPHEREHEAT_THREADS")
     if env:
-        return max(1, int(env))
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(f"SPHEREHEAT_THREADS must be a positive integer, not {env!r}")
+        return int(env)
     return os.cpu_count() or 1
 
 
@@ -224,6 +225,7 @@ def mc_endpoints(mc: McConfig, workers: int | None = None) -> np.ndarray:
         for b in batches:
             _reduced_endpoints(mc, b, out[b * _BATCH:(b + 1) * _BATCH])
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             for b, block in zip(batches, pool.map(_endpoint_batch, itertools.repeat(mc), batches)):
                 out[b * _BATCH:(b + 1) * _BATCH] = block

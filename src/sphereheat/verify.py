@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import eigenmethod as em
 from . import gaussian_limit as gl
@@ -110,6 +109,7 @@ def run_operators_suite() -> list[CheckResult]:
         report(relation, "exact commutation relation (factor two) on x^n, n <= 6")
 
     with _check_in(out, "commutation-split exponential identity") as report:
+        from scipy.linalg import expm
         worst = 0.0
         basis = BasisIndexer(2, 6)
         sum_d2 = operator_from_rule(basis, lambda p: second_derivative_sum(p, [1])).to_float()

@@ -23,11 +23,11 @@ def clear_caches():
 @pytest.fixture
 def sum_300_digits():
     """The exp-sum  sum w m^j exp(-c t/N)  over (j, c) -> w, taken at 300 digits
-    from its own m = sqrt(N) exp((t/2)(1/N - 1)) and exp(-t/N), one power of
-    each per term."""
+    (or ``dps``) from its own m = sqrt(N) exp((t/2)(1/N - 1)) and exp(-t/N), one
+    power of each per term."""
 
-    def direct(terms, N, t):
-        with mpmath.workdps(300):
+    def direct(terms, N, t, dps=300):
+        with mpmath.workdps(dps):
             tt = mpmath.mpf(t)
             m = mpmath.sqrt(N) * mpmath.exp(tt / 2 * (mpmath.mpf(1) / N - 1))
             e = mpmath.exp(-tt / N)

@@ -3,6 +3,7 @@
 import csv
 import importlib
 import io
+import os
 import pathlib
 import subprocess
 import sys
@@ -188,6 +189,16 @@ def test_study_names_the_reason_of_each_failed_cell(tmp_path, capsys):
     assert abs(float(rows[1][4]) - double.value) <= double.error_bound
 
 
+def test_moment_names_an_exp_sum_past_its_digit_budget(monkeypatch, capsys):
+    # x1^24 at N = 16, t = 1e-6 takes three passes, the last at 210 digits
+    argv = ["moment", "--monomial", "24", "--N", "16", "--t", "1e-6", "--routes", "eigen"]
+    assert main(argv) == 0
+    assert "value=6.6079866393869562e-132" in capsys.readouterr().out
+    monkeypatch.setattr(eigenmethod, "_MAX_DPS", 150)
+    assert main(argv) == 0
+    assert "FAILED (exp-sum at N=16, t=1e-06 cancels past 150 digits)" in capsys.readouterr().out
+
+
 def test_study_command_writes_file(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     rc = main(["study", "--monomial", "2,0", "--N", "8,16", "--t", "1",
@@ -344,6 +355,14 @@ def test_mc_reference_is_exact_at_large_n(capsys):
     assert float(line.split("=")[1].split()[0]) == pytest.approx(3.82567147215084, rel=1e-13)
 
 
+def test_thread_count_must_be_a_positive_integer(monkeypatch, capsys):
+    for value in ("abc", "0", "-2"):
+        monkeypatch.setenv("SPHEREHEAT_THREADS", value)
+        assert main(["mc", "--N", "4", "--paths", "10", "--step", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: SPHEREHEAT_THREADS must be a positive integer, not {value!r}\n")
+
+
 def test_pde_command(capsys):
     rc = main(["pde", "--t", "1"])
     out = capsys.readouterr().out
@@ -363,6 +382,29 @@ def test_benchmark_trace_finds_every_name_it_wraps(monkeypatch):
     restore = tracing.instrument(tracing.Tracer(), sphereheat)
     restore()
     assert SphereConfig(N=4, t=1.0, k=2, ell=2).ell == 2
+
+
+def test_cold_start_imports_scipy_and_the_process_pool_only_where_used(capsys):
+    # a fresh interpreter, since this one has imported SciPy already; 5000 paths
+    # make two Monte Carlo batches, which one worker walks without a pool
+    script = """
+import contextlib, io, sys
+from sphereheat import cli
+def heavy():
+    return [name for name in ("scipy", "concurrent.futures.process") if name in sys.modules]
+assert heavy() == [], heavy()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["mc", "--N", "8", "--paths", "5000", "--step", "0.25", "--seed", "1"]) == 0
+    assert cli.main(["moment", "--monomial", "4", "--N", "16", "--routes", "eigen,series"]) == 0
+assert heavy() == [], heavy()
+assert cli.main(["moment", "--monomial", "4", "--N", "16", "--routes", "matexp"]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, SPHEREHEAT_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["moment", "--monomial", "4", "--N", "16", "--routes", "matexp"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_console_script_entry():

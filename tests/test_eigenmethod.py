@@ -9,6 +9,7 @@ import pytest
 
 from sphereheat.eigenmethod import (
     DegenerateParameterError,
+    ExpSumPrecisionError,
     _apply_d,
     eigen_poly,
     eigen_poly_at_sqrtN,
@@ -250,8 +251,8 @@ def test_exp_sum_bound_holds_at_large_powers(N, t, sum_300_digits, within_300_di
     # the power error K = (3 + t) j + (1 + t) c + 8 is largest at j = 50, c = 1200.
     # A constant term cancels the others' sum at this t to 20, 40 or 60 digits.  At 60
     # with every term below 1 (N <= 3, t = 4) the first pass, 30 digits below the
-    # largest term, gives noise, and one re-pass from it falls short of the nearest
-    # double, so only the bound is asserted there
+    # largest term, gives noise, and one re-pass from it falls short: the passes
+    # go on until the truncation is below the value's ulp
     rng = random.Random(f"{N} {t}")
     for i in range(24):
         keys = {(50, 1200), (50, 0), (0, 1200)}
@@ -263,8 +264,26 @@ def test_exp_sum_bound_holds_at_large_powers(N, t, sum_300_digits, within_300_di
             terms[0, 0] = -_rounded_fraction(sum_300_digits(terms, N, t), digits)
         value, bound = evaluate_exp_sum(terms, N, t)
         assert within_300_digit_sum(terms, N, t, value, bound), (i, digits)
-        if digits != 60:
-            assert value == float(sum_300_digits(terms, N, t)), (i, digits)
+        assert value == float(sum_300_digits(terms, N, t)), (i, digits)
+
+
+def test_exact_route_is_nearest_at_small_t(sum_300_digits):
+    # x1^24 at N = 16, t = 1e-6 is 6.6e-132 out of terms near 1e15: the first two
+    # passes give noise, and the third takes 210 digits
+    for n in (2, 4, 8, 12, 16, 20, 24):
+        for N in (16, 1024, 10**6):
+            terms = finite_moment_x1(n, N).terms
+            for t in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                value, bound = evaluate_exp_sum(terms, N, t)
+                assert value == float(sum_300_digits(terms, N, t, dps=400)), (n, N, t)
+                assert bound <= math.ulp(value), (n, N, t)
+
+
+def test_exp_sum_raises_past_its_digit_budget():
+    # the two terms cancel exactly at t = 0, so every pass gives noise
+    terms = {(0, 0): Fraction(10**1500), (0, 1): Fraction(-(10**1500))}
+    with pytest.raises(ExpSumPrecisionError, match="cancels past 2000 digits"):
+        evaluate_exp_sum(terms, 16, 0.0)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
