@@ -9,12 +9,14 @@ Subcommands:
 * ``pde``     residual and spectral checks of the 1-D parabolic factors
 
 Flags may also be supplied through ``--config FILE`` holding one
-``key=value`` assignment per line (UTF-8, ``#`` comments); explicit flags
-win.  Study cells are computed one after another; ``SPHEREHEAT_THREADS``
-sizes only the Monte Carlo process pool.  Floats are printed with 17
-significant digits, a fixed seed makes reruns byte-identical, and a cell
-that fails keeps its reason, which ``moment`` and ``study`` print (the
-latter on stderr, so the CSV does not change).
+``key=value`` assignment per line (UTF-8, ``#`` comments), read as the
+subcommand's own flag ``--key=value``; explicit flags win, and a key that is
+not a flag of the subcommand is a usage error.  Study cells are computed one
+after another; ``SPHEREHEAT_THREADS`` sizes only the Monte Carlo process
+pool.  Floats are printed with 17 significant digits, a fixed seed makes
+reruns byte-identical, and a cell that fails keeps its reason, which
+``moment`` and ``study`` print (the latter on stderr, so the CSV does not
+change).
 """
 
 from __future__ import annotations
@@ -206,9 +208,11 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
 
-def _load_config(path: str) -> dict[str, list[str]]:
-    values: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+def _read_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill the flags the command line left unset from ``args.config``, each
+    ``key=value`` line parsed as the subcommand's flag ``--key=value``."""
+    tokens = []
+    with open(args.config, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -216,35 +220,13 @@ def _load_config(path: str) -> dict[str, list[str]]:
             if "=" not in line:
                 raise ValueError(f"bad config line {line!r}; expected key=value")
             key, _, val = line.partition("=")
-            values.setdefault(key.strip(), []).append(val.strip())
-    return values
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
-    values = _load_config(args.config)
-    converters = {
-        "N": _parse_int_list,
-        "t": _parse_float_list,
-        "k": int,
-        "monomial": None,  # handled below (repeatable)
-        "routes": lambda s: s.split(","),
-        "paths": int,
-        "step": float,
-        "seed": int,
-        "out": str,
-        "precision": str,
-    }
-    for key, raw in values.items():
-        if key not in converters:
-            parser.error(f"unknown config key {key!r}")
-        if key == "monomial":
-            if getattr(args, "monomial", None) in (None, []):
-                args.monomial = [_parse_monomial(v) for v in raw]
-            continue
-        if getattr(args, key, None) is None:
-            setattr(args, key, converters[key](raw[-1]))
+            tokens.append(f"--{key.strip()}={val.strip()}")
+    from_file = parser.parse_args([args.command, *tokens])
+    if from_file.config is not None:
+        parser.error("a config file cannot name another config file")
+    for key, value in vars(from_file).items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,62 +236,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_routes=True):
+    def grid_flags(p, one_cell=False):
         p.add_argument("--monomial", type=_parse_monomial, action="append",
-                       help="comma-separated exponents, e.g. 2,0 (repeatable)")
+                       help="comma-separated exponents, e.g. 2,0"
+                            + ("" if one_cell else " (repeatable)"))
         p.add_argument("--N", type=_parse_int_list, help="sphere parameter(s), comma list")
         p.add_argument("--t", type=_parse_float_list, help="time value(s), comma list")
         p.add_argument("--k", type=int, help="number of coordinates (default: monomial length)")
-        if with_routes:
+        if not one_cell:
             p.add_argument("--routes", type=lambda s: s.split(","),
                            help=f"subset of {','.join(ALL_ROUTES)}")
+            p.add_argument("--precision", choices=("double", "extended"),
+                           help="float precision for the operator routes")
         p.add_argument("--paths", type=int, help="Monte Carlo path count")
         p.add_argument("--step", type=float, help="Monte Carlo time step")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--precision", choices=("double", "extended"),
-                       help="float precision for the operator routes")
+        p.add_argument("--seed", type=int, help="Monte Carlo random seed")
 
-    p_moment = sub.add_parser("moment", help="one moment at one configuration")
-    common(p_moment)
-
+    grid_flags(sub.add_parser("moment", help="one moment at one configuration"))
     p_study = sub.add_parser("study", help="convergence study over a grid")
-    common(p_study)
+    grid_flags(p_study)
+    p_study.add_argument("--out", help="output CSV path")
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
     p_verify.add_argument("suite", nargs="?", default="all",
                           choices=verify_mod.SUITES + ("all",))
     p_verify.add_argument("--paths", type=int, help="Monte Carlo path count")
-    p_verify.add_argument("--config", help="key=value config file")
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo estimate with reference value")
-    common(p_mc, with_routes=False)
+    grid_flags(sub.add_parser("mc", help="Monte Carlo estimate with reference value"),
+               one_cell=True)
 
     p_pde = sub.add_parser("pde", help="checks of the 1-D parabolic factors")
     p_pde.add_argument("--t", type=_parse_float_list, help="time value(s)")
-    p_pde.add_argument("--config", help="key=value config file")
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key=value config file")
     return parser
 
 
-def _make_spec(args, defaults_routes) -> StudySpec:
-    return StudySpec(
-        monomials=list(args.monomial or []),
-        n_values=args.N or [16],
-        t_values=args.t or [1.0],
-        routes=args.routes if getattr(args, "routes", None) else defaults_routes,
-        paths=args.paths if args.paths is not None else 20000,
-        step=args.step if args.step is not None else 1e-3,
-        seed=args.seed if args.seed is not None else 0,
-        out=args.out,
-        precision=args.precision or "double",
-        k=args.k,
-    )
+def _make_spec(args, **defaults) -> StudySpec:
+    """The grid of the flags given, over ``defaults``, over N = 16 and t = 1,
+    and over StudySpec's own defaults."""
+    fields = {"monomial": "monomials", "N": "n_values", "t": "t_values"}
+    given = {fields.get(key, key): value for key, value in vars(args).items()
+             if value is not None and key not in ("command", "config")}
+    return StudySpec(**{"monomials": [], "n_values": [16], "t_values": [1.0],
+                        **defaults, **given})
 
 
 def cmd_moment(args) -> int:
-    spec = _make_spec(args, ["matexp"])
+    spec = _make_spec(args, routes=["matexp"])
     rows = run_study(spec)
     for r in rows:
         if r.value is None:
@@ -324,7 +299,7 @@ def cmd_moment(args) -> int:
 
 
 def cmd_study(args) -> int:
-    spec = _make_spec(args, list(ALL_ROUTES[:3]))
+    spec = _make_spec(args, routes=list(ALL_ROUTES[:3]))
     rows = run_study(spec)
     if spec.out:
         with open(spec.out, "w", encoding="utf-8", newline="") as fh:
@@ -346,12 +321,10 @@ def cmd_study(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = verify_mod.SUITES if args.suite == "all" else (args.suite,)
+    mc_kwargs = {} if args.paths is None else {"paths": args.paths}
     all_ok = True
     for name in suites:
-        kwargs = {}
-        if name == "mc" and args.paths:
-            kwargs["paths"] = args.paths
-        results = verify_mod.run_suite(name, **kwargs)
+        results = verify_mod.run_suite(name, **mc_kwargs)
         print(f"[{name}]")
         for r in results:
             print(f"  {r.status:4s} {r.name}  ({r.detail})")
@@ -361,20 +334,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    alpha = (args.monomial or [(0, 2)])[0]
-    k = args.k or len(alpha)
-    if len(alpha) > k:
-        raise ValueError(f"monomial {alpha} has more than k={k} coordinates")
-    alpha = tuple(alpha) + (0,) * (k - len(alpha))
-    n = (args.N or [8])[0]
-    t = (args.t or [1.0])[0]
-    cfg = SphereConfig(N=n, t=t, k=k, ell=sum(alpha))
-    mc = McConfig(
-        cfg=cfg,
-        step_h=args.step if args.step is not None else 1e-3,
-        n_paths=args.paths if args.paths is not None else 20000,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    spec = _make_spec(args, monomials=[(0, 2)], n_values=[8], routes=["mc"])
+    if len(spec.monomials) * len(spec.n_values) * len(spec.t_values) > 1:
+        raise ValueError("mc estimates one cell: give one monomial, one N and one t")
+    (alpha,), (n,), (t,) = spec.monomials, spec.n_values, spec.t_values
+    cfg = SphereConfig(N=n, t=t, k=spec.k, ell=sum(alpha))
+    mc = McConfig(cfg=cfg, step_h=spec.step, n_paths=spec.paths, seed=spec.seed)
     endpoints = mc_endpoints(mc)
     est = mc_moment(mc, alpha, endpoints=endpoints)
     ref = heat_moment_monomial(cfg, alpha, precision="extended").value
@@ -397,7 +362,7 @@ def cmd_pde(args) -> int:
         for t in times:
             res = max(residual(variant, t, x, 1e-3) for x in (0.0, 1.0, -3.0))
             print(f"  t={_fmt(t)}: max residual (h=1e-3) = {res:.3e}")
-        u = mollified_delta_solution(variant, 1.0, grid, eps=1e-3)
+        u = mollified_delta_solution(variant, 1.0, grid)
         closed = np.array([variant.closed_form(1.0, float(x)) for x in grid])
         print(f"  spectral-vs-closed max deviation at t=1: {np.max(np.abs(u - closed)):.3e}")
         masses = [grid_mass(spectral_evolve(variant, 1e-3, t, wide), wide)
@@ -409,10 +374,11 @@ def cmd_pde(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args, parser)
     commands = {"moment": cmd_moment, "study": cmd_study, "verify": cmd_verify,
                 "mc": cmd_mc, "pde": cmd_pde}
     try:
+        if args.config:
+            _read_config(args, parser)
         return commands[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -225,8 +225,8 @@ def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
 # ----------------------------------------------------------------------
 
 
-_ROUNDING_SLACK = 1e-6  # truncation error allowed, in ulps of the value, before a re-pass
 _MAX_DPS = 2000  # digit budget of one exp-sum
+_TERM_ERROR = 8  # per-term error allowance of an exp-sum pass, in units of its grid 2^g
 
 
 class ExpSumPrecisionError(RuntimeError):
@@ -239,18 +239,20 @@ def evaluate_exp_sum(
     """Value and error bound of  sum w m^j exp(-c t/N)  over (j, c) -> w, with
     the drift m = sqrt(N) exp((t/2)(1/N - 1)); weights must be nonzero.
 
-    The terms can cancel from their largest magnitude 10^top down to an O(1)
-    result, so they are carried to dps = ceil(top) + 30 digits: m, e = exp(-t/N)
-    and each distinct power of them are taken once at P bits, each term is
-    truncated to an integer multiple of 2^g <= 2^-10 10^(top - dps), and the
-    integers are summed exactly before one correctly rounded division.  While
-    this truncation part of the bound exceeds ``_ROUNDING_SLACK`` ulps of the
-    value, dps rises by top - log10 |value|, the digits the cancellation took
-    (top - log10 of that part if the value is 0); from a noise value, below
-    that part, the rise is at least dps - 1 - log10(#terms), about a doubling.
-    Past ``_MAX_DPS`` digits it raises :class:`ExpSumPrecisionError`.  So the
-    value is the double nearest the exact sum unless that sum lies within
-    ``_ROUNDING_SLACK`` ulps of a midpoint between two doubles.
+    The value is the double nearest the exact sum, and the bound is half its
+    ulp, rounded up to a double (the smallest positive one where half an ulp
+    is not a double), so it is never 0.  The
+    terms can cancel from their largest magnitude 10^top down to an O(1)
+    result or far below, so a pass carries dps = ceil(top) + guard digits:
+    m, e = exp(-t/N) and each distinct power of them are taken once at P
+    bits, each term is truncated to an integer multiple of the grid 2^g,
+    2^-11 10^(top - dps) < 2^g <= 2^-10 10^(top - dps), and the integers are
+    summed exactly.  The exact sum lies within err = 8 (#terms) grid units of
+    that integer total; when total - err and total + err round to the same
+    double, so does the exact sum, and that double is returned (a zero keeps
+    its sign only when both ends agree on it).  Otherwise the guard digits
+    double, from 30; past ``_MAX_DPS`` digits it raises
+    :class:`ExpSumPrecisionError`.
 
     Error: with u = 2^(1-P), each rounded operation is within u.  The
     argument t (1-N)/(2N), below t/2 in size, takes two roundings, so m is
@@ -259,9 +261,9 @@ def evaluate_exp_sum(
     (j a + 1) u and a term's products are exact, so its transcendental
     factor is within K u, K = (3 + t) j + (1 + t) c + 8, the 8 covering both
     powers' roundings and every second-order term.  P is dps digits plus
-    bit_length(K) + 11 bits, so K u < 2^-10 10^-dps, and a term of at most
-    10^top is off by less than 2^-9 10^(top - dps): well inside the bound's
-    10^(top + 1 - dps) per term, besides half an ulp of the double.
+    bit_length(K) + 11 bits, so K u < 2^-10 10^-dps, and a term below
+    2 10^top (top is a float estimate) is off by less than 2^-9 10^(top - dps),
+    under 4 grid units; the floor of its truncation adds under 1 more.
     """
     log10_m = math.log10(N) / 2 + t * (1 / N - 1) / (2 * math.log(10))
     top = max((  # log10 of the largest term
@@ -269,19 +271,26 @@ def evaluate_exp_sum(
         + j * log10_m - c * t / (N * math.log(10))
         for (j, c), w in terms.items()
     ), default=0.0)
-    dps = max(math.ceil(top), 0) + 30
-    value, trunc = _exp_sum_at(terms, N, t, top, dps)
-    while trunc > _ROUNDING_SLACK * math.ulp(value):
-        dps += math.ceil(top - math.log10(abs(value) or trunc))
-        if dps > _MAX_DPS:
-            raise ExpSumPrecisionError(f"exp-sum at N={N}, t={t} cancels past {_MAX_DPS} digits")
-        value, trunc = _exp_sum_at(terms, N, t, top, dps)
-    return value, 0.5 * math.ulp(value) + trunc
+    err = _TERM_ERROR * len(terms)
+    guard = 30
+    while (dps := max(math.ceil(top), 0) + guard) <= _MAX_DPS:
+        total, g = _exp_sum_at(terms, N, t, top, dps)
+        lo, hi = _grid_float(total - err, g), _grid_float(total + err, g)
+        if lo == hi:
+            value = lo if lo else lo + hi
+            return value, max(0.5 * math.ulp(value), math.ulp(0.0))
+        guard *= 2
+    raise ExpSumPrecisionError(f"exp-sum at N={N}, t={t} cancels past {_MAX_DPS} digits")
 
 
-def _exp_sum_at(terms: Mapping, N: int, t: float, top: float, dps: int) -> tuple[float, float]:
+def _grid_float(total: int, g: int) -> float:
+    """total * 2^g, correctly rounded to a double."""
+    return total / (1 << -g) if g < 0 else float(total << g)
+
+
+def _exp_sum_at(terms: Mapping, N: int, t: float, top: float, dps: int) -> tuple[int, int]:
     """The exp-sum of :func:`evaluate_exp_sum` at dps digits, largest term 10^top,
-    and the truncation part of its bound."""
+    as an integer total on the grid 2^g: (total, g)."""
     k_max = math.ceil(max(((3 + t) * j + (1 + t) * c for j, c in terms), default=0) + 8)
     g = math.floor((top - dps) * math.log2(10)) - 10
     with mpmath.workprec(math.ceil(dps * math.log2(10)) + k_max.bit_length() + 11):
@@ -297,8 +306,7 @@ def _exp_sum_at(terms: Mapping, N: int, t: float, top: float, dps: int) -> tuple
             total += (w.numerator * mm * me << shift) // w.denominator
         else:
             total += w.numerator * mm * me // (w.denominator << -shift)
-    value = total / (1 << -g) if g < 0 else float(total << g)
-    return value, len(terms) * 10.0 ** (top + 1 - dps)
+    return total, g
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ sphere limit).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -192,6 +193,10 @@ def density_moment_quadrature(
     return integrate_gaussian_decay(fn, sigmas, order)
 
 
+_MARGINAL_TOLERANCE = 1e-7  # largest pointwise deviation the marginal check passes
+_MARGINAL_ORDER = 90  # Gauss-Hermite nodes per integrated coordinate
+
+
 @dataclass(frozen=True)
 class MarginalReport:
     """Result of the marginal-compatibility quadrature check."""
@@ -200,36 +205,24 @@ class MarginalReport:
     m: int
     t: float
     max_abs_deviation: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_abs_deviation <= self.tolerance
+        return self.max_abs_deviation <= _MARGINAL_TOLERANCE
 
 
-def marginal_compatibility(
-    k: int,
-    m: int,
-    t: float,
-    grid: Sequence[Sequence[float]] | None = None,
-    tolerance: float = 1e-7,
-    order: int = 90,
-) -> MarginalReport:
+def marginal_compatibility(k: int, m: int, t: float) -> MarginalReport:
     """Check that integrating out trailing coordinates reproduces the
-    m-variable density pointwise on a test grid.
+    m-variable density pointwise on the grid {-1, 0, 1}^m.
     """
     if not 1 <= m <= k:
         raise ValueError("need 1 <= m <= k")
     params_k = LimitKernelParams(t, k)
     params_m = LimitKernelParams(t, m)
-    if grid is None:
-        axis = [-1.0, 0.0, 1.0]
-        grid = [[a] * m for a in axis] if m == 1 else _cartesian(axis, m)
 
     worst = 0.0
     sigma_rest = math.sqrt(params_k.var_rest)
-    for lead in grid:
-        lead = tuple(lead)
+    for lead in itertools.product([-1.0, 0.0, 1.0], repeat=m):
         if m == k:
             integrated = limit_density(params_k, lead)
         else:
@@ -241,14 +234,7 @@ def marginal_compatibility(
                 return _density_on_points(params_k, full)
 
             integrated = integrate_gaussian_decay(
-                fn, [sigma_rest] * (k - m), order
+                fn, [sigma_rest] * (k - m), _MARGINAL_ORDER
             )
         worst = max(worst, abs(integrated - limit_density(params_m, lead)))
-    return MarginalReport(k=k, m=m, t=t, max_abs_deviation=worst, tolerance=tolerance)
-
-
-def _cartesian(axis: Sequence[float], m: int) -> list[tuple[float, ...]]:
-    pts: list[tuple[float, ...]] = [()]
-    for _ in range(m):
-        pts = [p + (a,) for p in pts for a in axis]
-    return pts
+    return MarginalReport(k=k, m=m, t=t, max_abs_deviation=worst)

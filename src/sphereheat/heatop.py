@@ -37,6 +37,7 @@ from .polyalg import Exponents, Polynomial, shift_first_variable_powers
 
 
 _CHUNK = 64  # series terms buffered between two folds into the running sum
+_SERIES_TOL = 1e-12  # absolute error the series route's proven bound must meet
 
 
 class SeriesToleranceError(RuntimeError):
@@ -48,9 +49,10 @@ class MomentResult:
     """A heat-kernel moment with provenance.
 
     ``error_bound`` is a proven tail + rounding estimate for the series
-    route, a machine-precision estimate for the matexp route, half an ulp
-    plus the evaluation error for extended precision, and a standard error
-    for Monte Carlo.
+    route, a machine-precision estimate for the matexp route, and a standard
+    error for Monte Carlo.  With extended precision the value is the double
+    nearest the exact moment and the bound half its ulp, rounded up to the
+    smallest positive double (0 only for a moment that vanishes identically).
     """
 
     value: float
@@ -228,7 +230,6 @@ def heat_moment(
     cfg: SphereConfig,
     f: Polynomial,
     route: str = "matexp",
-    tol: float = 1e-12,
     precision: str = "double",
 ) -> MomentResult:
     """Heat-kernel moment of a polynomial in the unshifted coordinates.
@@ -273,8 +274,8 @@ def heat_moment(
         part_bounds = [1e-13 * float(np.sum(np.abs(v))) * scale_out for v in evolved]
     else:
         # Shrink the inner tolerance so the proven truncation bound still
-        # meets tol after the pole evaluation and drift powers.
-        tols = [tol / (p * scale_out * max(1.0, m) ** i) for i in range(p)]
+        # meets _SERIES_TOL after the pole evaluation and drift powers.
+        tols = [_SERIES_TOL / (p * scale_out * max(1.0, m) ** i) for i in range(p)]
         sums, tails, abs_sums = _series_evolve(mat, norm, cfg.t, block, tols)
         evolved = sums.T
         # rounding estimate: u (d + 2) times the pole-weighted sum of |term_n|
@@ -285,7 +286,7 @@ def heat_moment(
 
 
 def heat_moment_monomial(
-    cfg: SphereConfig, alpha: Exponents, route: str = "matexp", **kwargs
+    cfg: SphereConfig, alpha: Exponents, route: str = "matexp", precision: str = "double"
 ) -> MomentResult:
     """Convenience wrapper for a single monomial x^alpha."""
-    return heat_moment(cfg, Polynomial.monomial(alpha), route=route, **kwargs)
+    return heat_moment(cfg, Polynomial.monomial(alpha), route=route, precision=precision)

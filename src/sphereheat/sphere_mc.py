@@ -51,8 +51,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -99,9 +99,7 @@ class McEstimate:
     mean: float
     stderr: float
     n_paths: int
-    bias_note: str = field(
-        default="tangential-projection walk, weak discretization bias O(step_h)"
-    )
+    bias_note: ClassVar[str] = "tangential-projection walk, weak discretization bias O(step_h)"
 
     def __post_init__(self):
         if self.stderr < 0:

@@ -325,10 +325,10 @@ def run_pde_suite() -> list[CheckResult]:
     return out
 
 
-def run_mc_suite(paths: int = 20000, step_h: float = 2e-3, seed: int = 20240601) -> list[CheckResult]:
+def run_mc_suite(paths: int = 20000) -> list[CheckResult]:
     out = []
     cfg = SphereConfig(N=6, t=0.5, k=3, ell=4)
-    mc = McConfig(cfg=cfg, step_h=step_h, n_paths=paths, seed=seed)
+    mc = McConfig(cfg=cfg, step_h=2e-3, n_paths=paths, seed=20240601)
     ends = mc_endpoints(mc, workers=1)
 
     with _check_in(out, "endpoints stay on the sphere") as report:
@@ -356,7 +356,7 @@ def run_mc_suite(paths: int = 20000, step_h: float = 2e-3, seed: int = 20240601)
     with _check_in(out, "second moment matches the exact value") as report:
         exact = -math.expm1(-cfg.t)
         est = mc_moment(mc, (0, 2, 0), endpoints=ends)
-        report(abs(est.mean - exact) <= 3 * est.stderr + 0.5 * step_h,  # O(h) bias allowance
+        report(abs(est.mean - exact) <= 3 * est.stderr + 0.5 * mc.step_h,  # O(h) bias allowance
                f"{est.mean:.5f} vs {exact:.5f} (stderr {est.stderr:.1e})")
 
     with _check_in(out, "rotational symmetry across coordinates") as report:

@@ -190,7 +190,7 @@ def test_study_names_the_reason_of_each_failed_cell(tmp_path, capsys):
 
 
 def test_moment_names_an_exp_sum_past_its_digit_budget(monkeypatch, capsys):
-    # x1^24 at N = 16, t = 1e-6 takes three passes, the last at 210 digits
+    # x1^24 at N = 16, t = 1e-6 takes four passes, the last at 261 digits
     argv = ["moment", "--monomial", "24", "--N", "16", "--t", "1e-6", "--routes", "eigen"]
     assert main(argv) == 0
     assert "value=6.6079866393869562e-132" in capsys.readouterr().out
@@ -232,12 +232,62 @@ def test_config_precision_is_checked_like_the_flag(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("N=8\nt=1\nroutes=matexp\nmonomial=2,0\nprecision=single\n")
     out = tmp_path / "rows.csv"
-    assert main(["study", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "unknown precision 'single'" in capsys.readouterr().err
+    for argv in (["--config", str(cfg), "--out", str(out)],
+                 ["--monomial", "2,0", "--precision", "single"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["study", *argv])
+        assert exc.value.code == 2
+        assert "invalid choice: 'single'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key", [
+    ("pde", "N=4"), ("verify", "monomial=2"), ("mc", "routes=eigen"), ("study", "config=x.cfg"),
+    ("study", "N=x"),
+])
+def test_config_key_that_is_not_a_flag_of_the_command_is_usage_error(tmp_path, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}\n")
     with pytest.raises(SystemExit) as exc:
-        main(["study", "--monomial", "2,0", "--precision", "single"])
+        main([command, "--config", str(cfg)])
     assert exc.value.code == 2
+
+
+def test_unreadable_config_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("N 8\n")
+    for path in (bad, tmp_path / "missing.cfg"):
+        assert main(["study", "--monomial", "2", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--monomial", "2", "--out", "x.csv"],
+    ["mc", "--precision", "extended"],
+    ["mc", "--out", "x.txt"],
+])
+def test_flags_a_command_would_ignore_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_mc_estimates_one_cell(capsys):
+    for extra in (["--monomial", "0,2", "--monomial", "2,0"], ["--N", "6,8"], ["--t", "0.5,1"]):
+        assert main(["mc", "--paths", "10", *extra]) == 2
+        assert "mc estimates one cell" in capsys.readouterr().err
+    assert main(["mc", "--paths", "10", "--t", "0"]) == 2
+    assert "t values must be positive" in capsys.readouterr().err
+
+
+def test_config_file_drives_mc(tmp_path, capsys):
+    flags = ["--monomial", "0,2", "--N", "6", "--t", "0.5", "--paths", "200", "--step", "0.05"]
+    assert main(["mc", *flags, "--seed", "5"]) == 0
+    by_flags = capsys.readouterr().out
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text("".join(f"{key[2:]}={value}\n" for key, value in zip(flags[::2], flags[1::2])))
+    assert main(["mc", "--config", str(cfg), "--seed", "5"]) == 0
+    assert capsys.readouterr().out == by_flags
 
 
 def test_degree_option_is_gone(tmp_path):
@@ -396,6 +446,7 @@ assert heavy() == [], heavy()
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["mc", "--N", "8", "--paths", "5000", "--step", "0.25", "--seed", "1"]) == 0
     assert cli.main(["moment", "--monomial", "4", "--N", "16", "--routes", "eigen,series"]) == 0
+    assert cli.main(["pde", "--t", "1"]) == 0
 assert heavy() == [], heavy()
 assert cli.main(["moment", "--monomial", "4", "--N", "16", "--routes", "matexp"]) == 0
 assert "scipy.linalg" in sys.modules

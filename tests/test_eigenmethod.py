@@ -268,8 +268,8 @@ def test_exp_sum_bound_holds_at_large_powers(N, t, sum_300_digits, within_300_di
 
 
 def test_exact_route_is_nearest_at_small_t(sum_300_digits):
-    # x1^24 at N = 16, t = 1e-6 is 6.6e-132 out of terms near 1e15: the first two
-    # passes give noise, and the third takes 210 digits
+    # x1^24 at N = 16, t = 1e-6 is 6.6e-132 out of terms near 1e15: the first three
+    # passes cannot decide its double, and the fourth takes 261 digits
     for n in (2, 4, 8, 12, 16, 20, 24):
         for N in (16, 1024, 10**6):
             terms = finite_moment_x1(n, N).terms
@@ -279,11 +279,25 @@ def test_exact_route_is_nearest_at_small_t(sum_300_digits):
                 assert bound <= math.ulp(value), (n, N, t)
 
 
+def test_exact_route_is_nearest_below_the_smallest_subnormal(sum_300_digits):
+    # x1^24 at N = 16 is 6.6e-324 at t = 1e-14 and 6.6e-468 at t = 1e-20; a bound
+    # taken in floats underflows to 0 there, the integer grid of a pass does not
+    terms = finite_moment_x1(24, 16).terms
+    for t, nearest in ((1e-14, 5e-324), (1e-20, 0.0)):
+        value, bound = evaluate_exp_sum(terms, 16, t)
+        assert value.hex() == nearest.hex(), t
+        with mpmath.workdps(1500):
+            assert 0 < abs(mpmath.mpf(value) - sum_300_digits(terms, 16, t, dps=1500)) <= bound
+
+
 def test_exp_sum_raises_past_its_digit_budget():
-    # the two terms cancel exactly at t = 0, so every pass gives noise
-    terms = {(0, 0): Fraction(10**1500), (0, 1): Fraction(-(10**1500))}
+    # the two terms cancel exactly at t = 0; a pass decides that 0 is the nearest
+    # double only on a grid below 10^-324, over 2100 digits under terms of 10^1800
+    terms = {(0, 0): Fraction(10**1800), (0, 1): Fraction(-(10**1800))}
     with pytest.raises(ExpSumPrecisionError, match="cancels past 2000 digits"):
         evaluate_exp_sum(terms, 16, 0.0)
+    terms = {(0, 0): Fraction(10**1500), (0, 1): Fraction(-(10**1500))}
+    assert evaluate_exp_sum(terms, 16, 0.0) == (0.0, 5e-324)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])

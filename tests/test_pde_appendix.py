@@ -19,6 +19,7 @@ from sphereheat.pde_appendix import (
     residual,
     spectral_evolve,
 )
+from sphereheat.verify import run_pde_suite
 
 VARIANTS = (FIRST_COORDINATE, OTHER_COORDINATE)
 
@@ -103,6 +104,16 @@ def test_transport_matches_numeric_fourier_transform():
                 )
                 assert abs(numeric - transported) <= 1e-10
                 assert transported == pytest.approx(analytic, abs=1e-15)
+
+
+def test_transport_checks_fail_on_a_wrong_closed_form(monkeypatch):
+    # the transport integrates a(t) itself, so a closed form off by 10% in its
+    # variance no longer agrees with it, nor with the spectral evolution
+    variance = ParabolicVariant.variance
+    monkeypatch.setattr(ParabolicVariant, "variance", lambda self, t: 1.1 * variance(self, t))
+    status = {r.name: r.status for r in run_pde_suite()}
+    assert status["transported amplitude matches the numeric transform"] == "FAIL"
+    assert status["mollified evolution extrapolates to the closed form"] == "FAIL"
 
 
 def test_inverse_transform_of_transported_amplitude():
