@@ -11,18 +11,19 @@ Subcommands:
 Flags may also be supplied through ``--config FILE`` holding one
 ``key=value`` assignment per line (UTF-8, ``#`` comments), read as the
 subcommand's own flag ``--key=value``; explicit flags win, and a key that is
-not a flag of the subcommand is a usage error.  Study cells are computed one
-after another; ``SPHEREHEAT_THREADS`` sizes only the Monte Carlo process
-pool.  Floats are printed with 17 significant digits, a fixed seed makes
-reruns byte-identical, and a cell that fails keeps its reason, which
-``moment`` and ``study`` print (the latter on stderr, so the CSV does not
-change).
+not a flag of the subcommand is a usage error, as is an abbreviated flag or
+key.  Study cells are computed one after another; ``SPHEREHEAT_THREADS``
+sizes only the Monte Carlo process pool.  Floats are printed with 17
+significant digits, a fixed seed makes reruns byte-identical, and a cell
+that fails keeps its reason, which ``moment`` and ``study`` print (the
+latter on stderr, so the CSV does not change).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import math
 import sys
@@ -231,41 +232,42 @@ def _read_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> N
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="sphereheat",
+        prog="sphereheat", allow_abbrev=False,
         description="heat-kernel moments on shifted spheres and their Gaussian limit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
     def grid_flags(p, one_cell=False):
         p.add_argument("--monomial", type=_parse_monomial, action="append",
                        help="comma-separated exponents, e.g. 2,0"
                             + ("" if one_cell else " (repeatable)"))
-        p.add_argument("--N", type=_parse_int_list, help="sphere parameter(s), comma list")
-        p.add_argument("--t", type=_parse_float_list, help="time value(s), comma list")
+        values, mc_only = ("one value", "") if one_cell else ("comma list", " (mc route only)")
+        p.add_argument("--N", type=_parse_int_list, help=f"sphere parameter N, {values}")
+        p.add_argument("--t", type=_parse_float_list, help=f"time t, {values}")
         p.add_argument("--k", type=int, help="number of coordinates (default: monomial length)")
         if not one_cell:
             p.add_argument("--routes", type=lambda s: s.split(","),
                            help=f"subset of {','.join(ALL_ROUTES)}")
             p.add_argument("--precision", choices=("double", "extended"),
                            help="float precision for the operator routes")
-        p.add_argument("--paths", type=int, help="Monte Carlo path count")
-        p.add_argument("--step", type=float, help="Monte Carlo time step")
-        p.add_argument("--seed", type=int, help="Monte Carlo random seed")
+        p.add_argument("--paths", type=int, help="Monte Carlo path count" + mc_only)
+        p.add_argument("--step", type=float, help="Monte Carlo time step" + mc_only)
+        p.add_argument("--seed", type=int, help="Monte Carlo random seed" + mc_only)
 
-    grid_flags(sub.add_parser("moment", help="one moment at one configuration"))
-    p_study = sub.add_parser("study", help="convergence study over a grid")
+    grid_flags(command("moment", help="one moment at one configuration"))
+    p_study = command("study", help="convergence study over a grid")
     grid_flags(p_study)
     p_study.add_argument("--out", help="output CSV path")
 
-    p_verify = sub.add_parser("verify", help="run invariant suites")
+    p_verify = command("verify", help="run invariant suites")
     p_verify.add_argument("suite", nargs="?", default="all",
                           choices=verify_mod.SUITES + ("all",))
     p_verify.add_argument("--paths", type=int, help="Monte Carlo path count")
 
-    grid_flags(sub.add_parser("mc", help="Monte Carlo estimate with reference value"),
-               one_cell=True)
+    grid_flags(command("mc", help="Monte Carlo estimate with reference value"), one_cell=True)
 
-    p_pde = sub.add_parser("pde", help="checks of the 1-D parabolic factors")
+    p_pde = command("pde", help="checks of the 1-D parabolic factors")
     p_pde.add_argument("--t", type=_parse_float_list, help="time value(s)")
 
     for p in sub.choices.values():

@@ -27,23 +27,23 @@ built once per path as r z / |z| with z ~ N(0, I_(N-1)).  The walk does
 not depend on k, and :func:`mc_moment` takes any monomial in at most N
 coordinates.
 
-Randomness is counter-based and drawn per batch, one step at a time.
-Paths are split into batches of ``_BATCH``; path p is row p mod _BATCH of
-batch b = p // _BATCH.  Batch b of a run seeded with s owns one Philox key
-(s, b) (:func:`path_generator`) and reads three independent streams of it:
-the keyed generator itself for eta, its ``jumped(1)`` copy for chi and its
-``jumped(2)`` copy for z.  The batch first draws z as one (count, N-1)
-block; then step j draws ``standard_normal(count)`` for eta and
-``chisquare(N-2, count)`` for chi (none when N = 2).  No buffer has a steps
-axis, so a batch holds O(_BATCH N) floats whatever the step count.
-Estimates are bitwise reproducible however batches are scheduled over
-workers, and a full batch does not depend on n_paths; a path's values do
-depend on the rest of its batch, so :func:`simulate_endpoint` walks the
-whole batch of the path it returns.  The coupled refinement
-(:func:`mc_refinement_diffs`) still walks in the full space, because its
-coarse increments are sums of fine N-dimensional ones: each coarse step of
-batch b draws a (4, count, N) block of fine normals from the keyed
-generator.  Only a run on more than one worker imports the process pool.
+Randomness is drawn per batch, in blocks of steps.  Path p is row
+p mod _BATCH of batch b = p // _BATCH, and batch b of a run seeded with s
+reads three SFC64 streams seeded by ``SeedSequence([s mod 2^64, b, i])``:
+i = 0 for eta (:func:`path_generator`), 1 for chi and 2 for z.  It draws z
+as one (count, N-1) block, then, per block of up to ``_BLOCK`` steps, one
+(steps, count) ``standard_normal`` for eta and one
+``standard_gamma((N-2)/2)`` times 2h for chi (none when N = 2), equal bit
+for bit to ``chisquare(N-2, count)`` drawn step by step.  No buffer grows
+with the step count.  Estimates are bitwise reproducible however batches
+are scheduled over workers, and a full batch does not depend on n_paths;
+a path's values do depend on the rest of its batch, so
+:func:`simulate_endpoint` walks the whole batch of the path it returns.
+The coupled refinement (:func:`mc_refinement_diffs`) walks in the full
+space, because its coarse increments are sums of fine N-dimensional ones,
+on coordinate-major (N, count) arrays; each coarse step draws a
+(4, N, count) block of fine normals from stream 0.  Only a run on more
+than one worker imports the process pool.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ import numpy as np
 
 from .operators import SphereConfig
 
-_BATCH = 4096  # paths per batch and stream key; fixed, so results never depend on scheduling
+_BATCH = 4096  # paths per batch of streams; fixed, so results never depend on scheduling
+_BLOCK = 16  # steps per draw call; the draw buffers are (_BLOCK, count)
 
 
 @dataclass(frozen=True)
@@ -106,30 +107,28 @@ class McEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def path_generator(seed: int, batch_index: int) -> np.random.Generator:
-    """The counter-based generator of one batch, keyed by (seed, batch_index)."""
-    key = (int(seed) % 2**64) * 2**64 + int(batch_index)
-    return np.random.Generator(np.random.Philox(key=key))
+def path_generator(seed: int, batch_index: int, stream: int = 0) -> np.random.Generator:
+    """Stream ``stream`` of one batch, keyed by (seed, batch_index): 0 eta, 1 chi, 2 z."""
+    entropy = [int(seed) % 2**64, int(batch_index), stream]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
 def _batch_streams(seed: int, batch: int) -> tuple[np.random.Generator, ...]:
     """The eta, chi and z streams of one batch, as the module docstring gives them."""
-    gen = path_generator(seed, batch)
-    bits = gen.bit_generator
-    return gen, np.random.Generator(bits.jumped(1)), np.random.Generator(bits.jumped(2))
+    return tuple(path_generator(seed, batch, i) for i in range(3))
 
 
 def _projected_step(x: np.ndarray, g: np.ndarray, h: float) -> None:
-    """One projection-walk step of length h for the (P, N) points x, in place."""
-    n = x.shape[1]
-    coef = np.einsum("ij,ij->i", x, g)
+    """One projection-walk step of length h for the (N, P) points x, in place."""
+    n = x.shape[0]
+    coef = np.einsum("ij,ij->j", x, g)
     coef /= n
-    step = g - coef[:, None] * x
+    step = g - coef * x
     step *= math.sqrt(h)
     x += step
-    scale = np.einsum("ij,ij->i", x, x)
+    scale = np.einsum("ij,ij->j", x, x)
     np.sqrt(scale, out=scale)
-    x *= (math.sqrt(n) / scale)[:, None]
+    x *= math.sqrt(n) / scale
 
 
 def _radial_step(y: np.ndarray, r: np.ndarray, s: np.ndarray, h_chi: np.ndarray,
@@ -167,15 +166,19 @@ def _reduced_endpoints(mc: McConfig, batch: int, out: np.ndarray) -> np.ndarray:
     root_n = math.sqrt(n)
     y = np.full(count, root_n)
     r = np.zeros(count)
-    s = np.empty(count)
-    h_chi = np.zeros(count)
-    for h in mc.steps():
-        eta.standard_normal(out=s)
-        s *= math.sqrt(h / n)
+    s = np.empty((_BLOCK, count))
+    h_chi = np.zeros((_BLOCK, count))
+    steps = mc.steps()
+    while block := list(itertools.islice(steps, _BLOCK)):
+        nsteps = len(block)
+        h = np.array(block)[:, None]  # one step length per row
+        eta.standard_normal(out=s[:nsteps])
+        s[:nsteps] *= np.sqrt(h / n)
         if n > 2:
-            h_chi = chi.chisquare(n - 2, count)
-            h_chi *= h
-        _radial_step(y, r, s, h_chi, root_n)
+            chi.standard_gamma((n - 2) / 2, out=h_chi[:nsteps])
+            h_chi[:nsteps] *= 2 * h
+        for j in range(nsteps):
+            _radial_step(y, r, s[j], h_chi[j], root_n)
     r /= np.sqrt(np.einsum("ij,ij->i", z, z))
     out[:, 0] = y - mc.cfg.m
     np.multiply(z, r[:, None], out=out[:, 1:])
@@ -201,7 +204,9 @@ def simulate_endpoint(mc: McConfig, path_index: int) -> np.ndarray:
 
 def _worker_count(workers: int | None) -> int:
     if workers is not None:
-        return max(1, workers)
+        if workers < 1:
+            raise ValueError(f"workers must be a positive integer, not {workers!r}")
+        return workers
     env = os.environ.get("SPHEREHEAT_THREADS")
     if env:
         if not env.strip().isdecimal() or int(env) < 1:
@@ -286,10 +291,10 @@ def mc_refinement_diffs(
     for b, lo in enumerate(range(0, mc.n_paths, _BATCH)):
         count = min(_BATCH, mc.n_paths - lo)
         gen = path_generator(mc.seed, b)
-        coarse, mid, fine = (np.zeros((count, cfg.N)) for _ in range(3))
+        coarse, mid, fine = (np.zeros((cfg.N, count)) for _ in range(3))
         for x in (coarse, mid, fine):
-            x[:, 0] = math.sqrt(cfg.N)
-        normals = np.empty((4, count, cfg.N))
+            x[0] = math.sqrt(cfg.N)
+        normals = np.empty((4, cfg.N, count))
         for _ in range(n0):
             gen.standard_normal(out=normals)
             # renormalized pairwise sums keep unit variance at coarser levels
@@ -301,8 +306,8 @@ def mc_refinement_diffs(
             _projected_step(coarse, (halves[0] + halves[1]) / root2, h)
         ends = []
         for x in (coarse, mid, fine):
-            x[:, 0] -= cfg.m
-            ends.append(_monomial_values(x, alpha))
+            x[0] -= cfg.m
+            ends.append(_monomial_values(x.T, alpha))
         diffs_coarse[lo:lo + count] = ends[0] - ends[1]
         diffs_mid[lo:lo + count] = ends[1] - ends[2]
     return _estimate(diffs_coarse), _estimate(diffs_mid)

@@ -272,6 +272,32 @@ def test_flags_a_command_would_ignore_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+def test_abbreviated_flags_are_usage_errors(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mono=2\n")
+    for argv in (["moment", "--mono", "2"], ["moment", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,values,mc_only", [
+    ("mc", "one value", False), ("moment", "comma list", True), ("study", "comma list", True),
+])
+def test_help_says_how_many_values_and_which_flags_only_mc_reads(command, values, mc_only,
+                                                                 monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")  # one line per flag
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for flag in ("--N", "--t"):
+        assert next(l for l in lines if l.strip().startswith(flag + " ")).endswith(values)
+    for flag in ("--paths", "--step", "--seed"):
+        line = next(l for l in lines if l.strip().startswith(flag + " "))
+        assert line.endswith("(mc route only)") == mc_only
+
+
 def test_mc_estimates_one_cell(capsys):
     for extra in (["--monomial", "0,2", "--monomial", "2,0"], ["--N", "6,8"], ["--t", "0.5,1"]):
         assert main(["mc", "--paths", "10", *extra]) == 2

@@ -93,6 +93,38 @@ def test_batch_streams_are_independent(seed, batch):
     assert len(draws) == 6
 
 
+@pytest.mark.parametrize("seed, batch", [(SEED, 0), (2**64 + 5, 2**40)])
+def test_batch_streams_are_the_documented_sfc64_streams(seed, batch):
+    for i, gen in enumerate(_batch_streams(seed, batch)):
+        ref = np.random.SFC64(np.random.SeedSequence([seed % 2**64, batch, i]))
+        assert np.array_equal(gen.bit_generator.random_raw(4), ref.random_raw(4))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_block_draws_equal_the_step_at_a_time_walk(n):
+    # 37 full steps and a short last one: two full blocks of draws and a partial one
+    mc = McConfig(cfg=SphereConfig(N=n, t=0.375, k=1, ell=2), step_h=0.01, n_paths=300, seed=SEED)
+    steps = mc.step_sizes()
+    assert len(steps) == 38 and steps[-1] < mc.step_h
+    eta, chi, zs = _batch_streams(mc.seed, 0)
+    z = zs.standard_normal((mc.n_paths, n - 1))
+    root_n = math.sqrt(n)
+    y, r = np.full(mc.n_paths, root_n), np.zeros(mc.n_paths)
+    for h in steps:
+        s = eta.standard_normal(mc.n_paths) * math.sqrt(h / n)
+        h_chi = chi.chisquare(n - 2, mc.n_paths) * h if n > 2 else np.zeros(mc.n_paths)
+        _radial_step(y, r, s, h_chi, root_n)
+    r /= np.sqrt(np.einsum("ij,ij->i", z, z))
+    ref = np.column_stack([y - mc.cfg.m, z * r[:, None]])
+    assert np.array_equal(mc_endpoints(mc, workers=1), ref)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_must_be_positive(workers):
+    with pytest.raises(ValueError, match="workers"):
+        mc_endpoints(make_mc(paths=10), workers=workers)
+
+
 def test_full_batches_do_not_depend_on_the_path_count():
     short = make_mc(paths=_BATCH + 10)
     a = mc_endpoints(short, workers=1)
@@ -102,14 +134,14 @@ def test_full_batches_do_not_depend_on_the_path_count():
 
 
 def test_refinement_differences_are_unchanged():
-    # values of the coupled full-space walk, one (4, count, N) draw per coarse step
+    # values of the coupled full-space walk, one (4, N, count) draw per coarse step
     mc = McConfig(cfg=SphereConfig(N=4, t=1.0, k=2, ell=2), step_h=0.1,
                   n_paths=1100, seed=2**63 + 5)
     d1, d2 = mc_refinement_diffs(mc, (2, 0))
-    assert d1.mean == float.fromhex("-0x1.499f69c24bc2dp-7")
-    assert d1.stderr == float.fromhex("0x1.18d1c7a79b34ep-9")
-    assert d2.mean == float.fromhex("-0x1.e4dc0de56b110p-9")
-    assert d2.stderr == float.fromhex("0x1.855964ad3e624p-10")
+    assert d1.mean == float.fromhex("-0x1.d7936e788673dp-8")
+    assert d1.stderr == float.fromhex("0x1.c37dd029adc42p-10")
+    assert d2.mean == float.fromhex("-0x1.9b918fdbd3d37p-8")
+    assert d2.stderr == float.fromhex("0x1.564fc7ee210a6p-10")
 
 
 def _traced_peak(run) -> int:
@@ -244,9 +276,9 @@ def test_radial_step_equals_the_full_projected_step(n):
         y_new, r_new = np.array([y]), np.array([r])
         _radial_step(y_new, r_new, np.array([math.sqrt(h / n) * eta]), np.array([h * chi]),
                      root_n)
-        full = x[None].copy()
-        _projected_step(full, g[None], h)
-        full = full[0]
+        full = x[:, None].copy()
+        _projected_step(full, g[:, None], h)
+        full = full[:, 0]
         assert y_new[0] == pytest.approx(full[0], rel=0, abs=1e-13 * root_n)
         assert r_new[0] == pytest.approx(np.linalg.norm(full[1:]), rel=0, abs=1e-13 * root_n)
 
@@ -267,7 +299,7 @@ def test_reduced_walk_has_the_projection_walks_law(n, k):
         start[:, 0] = math.sqrt(n)
         normals = rng.standard_normal((chunk, len(steps), n))
         for j, h in enumerate(steps):
-            _projected_step(start, normals[:, j], h)
+            _projected_step(start.T, normals[:, j].T, h)
         full[lo:lo + chunk] = start
     full[:, 0] -= cfg.m
     for alpha in itertools.product(range(5), repeat=k):
