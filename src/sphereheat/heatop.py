@@ -8,7 +8,7 @@ one-variable part D of the sphere Laplacian, so the double routes work on
 the 1-D lattice of degrees D reaches from the parts, evaluated at sqrt(N):
 ``series`` runs the truncated power series for all parts at once, with a
 proven tail bound in the exact 1-norm plus a rounding estimate, and
-``matexp`` a scaling-and-squaring matrix exponential.  With
+``matexp`` the scaling-and-squaring matrix exponential :func:`expm`.  With
 ``precision="extended"`` the moment is instead the exact sum of the parts'
 eigen expansions from :mod:`sphereheat.eigenmethod`, a polynomial in the
 drift m: sum w m^j exp(-c t/N) with rational w.  What does not depend
@@ -17,7 +17,7 @@ memoized per (polynomial, N), and no result depends on that cache.
 
 :func:`heat_apply_matexp` exponentiates a dense operator matrix from
 :mod:`sphereheat.operators`; no moment uses it.  A stochastic route lives
-in :mod:`sphereheat.sphere_mc`.  Only the double matrix exponentials import SciPy.
+in :mod:`sphereheat.sphere_mc`.
 """
 
 from __future__ import annotations
@@ -148,6 +148,58 @@ def _series_evolve(
     return terms[0].copy(), tails, np.asfortranarray(abs_terms[0])
 
 
+# Pade [13/13] coefficients b_0..b_13, and the 1-norm up to which the approximant
+# meets double precision unscaled (N. J. Higham, The scaling and squaring method
+# for the matrix exponential revisited, SIAM J. Matrix Anal. Appl. 26, 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a small float matrix: Pade [13/13] scaling and squaring.
+
+    Scales by 2^-s, s = max(0, ceil(log2(||a||_1 / theta_13))), solves
+    (V - U) r = V + U and squares s times (Higham 2005).  For upper-triangular
+    input, as every lattice D is, the approximant and each square of it, those
+    of 2^-k a for k = s, ..., 0, get the diagonal exp(2^-k diag a) and the
+    superdiagonal 2^-k a_(j,j+1) times the divided difference of exp,
+    e^((x+y)/2) sinh(d)/d with d = (y - x)/2 (Al-Mohy and
+    Higham, A new scaling and squaring algorithm for the matrix exponential,
+    SIAM J. Matrix Anal. Appl. 31, 2009, Code Fragment 2.1).  One degree
+    suffices for the few-dozen-row matrices of this package.
+    """
+    a = np.asarray(a, dtype=float)
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
+    x = a * 2.0**-s
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    b = _PADE13
+    eye = np.eye(len(a))
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    j = np.arange(len(a))
+    if a[j[:, None] > j].any():
+        for _ in range(s):
+            r = r @ r
+        return r
+    scales = 2.0 ** -np.arange(s, -1, -1.0)[:, None]  # row i: 2^-(s - i)
+    h = a.diagonal() * scales
+    d = (h[:, 1:] - h[:, :-1]) / 2
+    sinch = np.divide(np.sinh(d), d, out=np.ones_like(d), where=d != 0)
+    sup = a.diagonal(1) * scales * np.exp(h[:, :-1] + d) * sinch
+    for i, (exp_h, sup_i) in enumerate(zip(np.exp(h), sup)):
+        if i:
+            r = r @ r
+        r[j, j], r[j[:-1], j[1:]] = exp_h, sup_i
+    return r
+
+
 def heat_apply_matexp(op: OperatorMatrix, t: float, precision: str = "double"):
     """Matrix exponential exp((t/2) op) by scaling and squaring.
 
@@ -155,7 +207,6 @@ def heat_apply_matexp(op: OperatorMatrix, t: float, precision: str = "double"):
     ``precision="extended"`` (50 significant digits).
     """
     if precision == "double":
-        from scipy.linalg import expm
         return expm(0.5 * t * op.to_float())
     if precision == "extended":
         with mpmath.workdps(50):
@@ -268,7 +319,6 @@ def heat_moment(
     p, m = block.shape[1], cfg.m
     scale_out = math.sqrt(cfg.N) ** f.degree()  # evaluation functional 1-norm bound
     if route == "matexp":
-        from scipy.linalg import expm
         exp_mat = expm(0.5 * cfg.t * mat)
         evolved = [exp_mat @ block[:, i] for i in range(p)]
         part_bounds = [1e-13 * float(np.sum(np.abs(v))) * scale_out for v in evolved]

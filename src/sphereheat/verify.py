@@ -18,7 +18,7 @@ import numpy as np
 from . import eigenmethod as em
 from . import gaussian_limit as gl
 from . import pde_appendix as pde
-from .heatop import heat_moment_monomial
+from .heatop import expm, heat_moment_monomial
 from .operators import (
     SphereConfig,
     _first_part_rule,
@@ -109,7 +109,6 @@ def run_operators_suite() -> list[CheckResult]:
         report(relation, "exact commutation relation (factor two) on x^n, n <= 6")
 
     with _check_in(out, "commutation-split exponential identity") as report:
-        from scipy.linalg import expm
         worst = 0.0
         basis = BasisIndexer(2, 6)
         sum_d2 = operator_from_rule(basis, lambda p: second_derivative_sum(p, [1])).to_float()

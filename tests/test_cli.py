@@ -461,8 +461,9 @@ def test_benchmark_trace_finds_every_name_it_wraps(monkeypatch):
 
 
 def test_cold_start_imports_scipy_and_the_process_pool_only_where_used(capsys):
-    # a fresh interpreter, since this one has imported SciPy already; 5000 paths
-    # make two Monte Carlo batches, which one worker walks without a pool
+    # a fresh interpreter, since this one has imported SciPy already (the tests
+    # use it as a reference); no command loads SciPy, and 5000 paths make two
+    # Monte Carlo batches, which one worker walks without a pool
     script = """
 import contextlib, io, sys
 from sphereheat import cli
@@ -474,13 +475,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["moment", "--monomial", "4", "--N", "16", "--routes", "eigen,series"]) == 0
     assert cli.main(["pde", "--t", "1"]) == 0
 assert heavy() == [], heavy()
-assert cli.main(["moment", "--monomial", "4", "--N", "16", "--routes", "matexp"]) == 0
-assert "scipy.linalg" in sys.modules
+assert cli.main(["moment", "--monomial", "4", "--N", "16"]) == 0
+assert "scipy" not in sys.modules
+assert cli.main(["study", "--monomial", "4", "--N", "16,64", "--t", "1"]) == 0
+assert "scipy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify"]) == 0
+assert "scipy" not in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, SPHEREHEAT_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
-    assert main(["moment", "--monomial", "4", "--N", "16", "--routes", "matexp"]) == 0
+    assert main(["moment", "--monomial", "4", "--N", "16"]) == 0
+    assert main(["study", "--monomial", "4", "--N", "16,64", "--t", "1"]) == 0
     assert proc.stdout == capsys.readouterr().out
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from sphereheat.eigenmethod import (
     eigen_moment_terms,
@@ -18,6 +19,7 @@ from sphereheat.eigenmethod import (
     finite_moment_x1,
     monomial_in_eigenbasis,
 )
+from sphereheat import heatop
 from sphereheat.heatop import (
     MomentResult,
     SeriesToleranceError,
@@ -26,6 +28,7 @@ from sphereheat.heatop import (
     _series_evolve,
     _series_stop,
     _series_tail_bound,
+    expm,
     heat_apply_matexp,
     heat_moment,
     heat_moment_monomial,
@@ -35,6 +38,9 @@ from sphereheat.operators import (
     SphereConfig,
     build_D,
     build_sphere_laplacian,
+    euler_apply,
+    operator_from_rule,
+    second_derivative_sum,
 )
 from sphereheat import operators
 from sphereheat.polyalg import BasisIndexer, Polynomial, shift_first_variable_powers
@@ -194,6 +200,113 @@ def test_matexp_extended_precision_matches_double():
         for j in range(d_op.dimension)
     )
     assert worst <= 1e-12
+
+
+def every_lattice():
+    """Parts whose lattices are all those _prepare builds to degree 24: one per pair
+    (top even degree, top odd degree), either of them absent."""
+    for even in (None, *range(0, 25, 2)):
+        for odd in (None, *range(1, 24, 2)):
+            if even is not None or odd is not None:
+                yield tuple(((n, Fraction(1)),) for n in (even, odd) if n is not None)
+
+
+def max_entry_error(value, ref):
+    return float(np.max(np.abs(value - ref)) / np.max(np.abs(ref)))
+
+
+def one_norm_error(value, ref):
+    return float(np.linalg.norm(value - ref, 1) / np.linalg.norm(ref, 1))
+
+
+def expm_60_digits(a):
+    with mpmath.workdps(60):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 1024, 10**6])
+def test_expm_matches_scipy_on_every_lattice(n):
+    # the worst difference, 1.3e-11 of the largest entry (N = 1024, t = 4), is
+    # SciPy's own error: see the next test
+    worst = max(max_entry_error(expm(0.5 * t * mat), scipy_expm(0.5 * t * mat))
+                for parts in every_lattice() for mat in [_prepare(n, parts)[0]]
+                for t in (1e-6, 1e-3, 0.5, 1.0, 2.0, 4.0))
+    assert worst <= 5e-11
+
+
+def test_expm_matches_60_digits_on_the_largest_lattices():
+    # the lattices where SciPy strays most: measured worst 6.8e-16
+    for n in (16, 1024, 10**6):
+        for parts in ((((24, Fraction(1)),), ((23, Fraction(1)),)),
+                      (((18, Fraction(1)),), ((9, Fraction(1)),))):
+            a = 2.0 * _prepare(n, parts)[0]
+            assert max_entry_error(expm(a), expm_60_digits(a)) <= 4e-15, (n, parts)
+
+
+def test_expm_matches_scipy_on_the_split_check_matrices():
+    # verify's "commutation-split exponential identity" operands; measured worst 7.8e-16
+    basis = BasisIndexer(2, 6)
+    sum_d2 = operator_from_rule(basis, lambda p: second_derivative_sum(p, [1])).to_float()
+    euler_y = operator_from_rule(basis, lambda p: euler_apply(p, [1])).to_float()
+    for t in (0.5, 1.0, 2.0):
+        x_mat, y_mat = -0.5 * t * euler_y, 0.5 * t * sum_d2
+        for a in (x_mat + y_mat, x_mat, -math.expm1(-t) / t * y_mat):
+            assert one_norm_error(expm(a), scipy_expm(a)) <= 4e-15, t
+
+
+def test_expm_matches_scipy_on_random_matrices():
+    # dense and upper triangular, 1 to 30 rows, 1-norm 1e-8 to 100; measured worst 5.2e-13
+    rng = np.random.default_rng(19)
+    for rows in range(1, 31):
+        for norm in np.logspace(-8, 2, 11):
+            for a in (rng.standard_normal((rows, rows)), np.triu(rng.standard_normal((rows, rows)))):
+                a *= norm / np.linalg.norm(a, 1)
+                assert one_norm_error(expm(a), scipy_expm(a)) <= 3e-12, (rows, norm)
+
+
+def test_expm_edge_cases():
+    assert expm(np.array([[-0.75]]))[0, 0] == np.exp(-0.75)
+    assert np.array_equal(expm(np.zeros((4, 4))), np.eye(4))
+    d = np.array([-3.0, 0.0, 0.5, 2.0])
+    assert np.array_equal(expm(np.diag(d)), np.diag(np.exp(d)))
+    # a repeated diagonal entry: the divided difference at a zero difference is e^x
+    a = np.array([[2.7, 40.0, 7.0], [0.0, 2.7, -3.0], [0.0, 0.0, -2.0]])
+    got = expm(a)
+    assert got[0, 1] == 40.0 * np.exp(2.7)
+    assert one_norm_error(got, expm_60_digits(a)) <= 5e-16  # measured 9.3e-17
+    assert one_norm_error(got, scipy_expm(a)) <= 3e-15  # measured 6.5e-16
+    # 1-norm just below theta_13 (no scaling), just above it and just below
+    # 2 theta_13 (one squaring each); measured worst 2.6e-14 against SciPy
+    rng = np.random.default_rng(13)
+    for factor in (1 - 1e-9, 1 + 1e-9, 2 - 1e-9):
+        for rows in (3, 6, 12, 20):
+            for a in (rng.standard_normal((rows, rows)),
+                      np.triu(rng.standard_normal((rows, rows)))):
+                a *= factor * heatop._THETA13 / np.linalg.norm(a, 1)
+                assert one_norm_error(expm(a), scipy_expm(a)) <= 1e-13, (factor, rows)
+        # a positive rank-one matrix, whose eigenvalue is its 1-norm, where the Pade
+        # error peaks (1.8e-7 at 2 theta_13 unscaled); measured worst 1.9e-14
+        a = np.full((4, 4), factor * heatop._THETA13 / 4)
+        assert one_norm_error(expm(a), expm_60_digits(a)) <= 1e-13, factor
+
+
+@pytest.mark.parametrize("x,y,b", [(1.0, -1.0, 1e8), (-40.0, -40.0 + 1e-9, 1e3), (-3.0, -3.0, 50.0),
+                                   (-20.0, -20.5, 1e6), (2.0, 2.0 + 1e-6, 1e7)])
+def test_expm_of_a_two_by_two_triangle_is_its_closed_form(x, y, b):
+    # exp [[x, b], [0, y]] = [[e^x, b (e^y - e^x)/(y - x)], [0, e^y]], each entry
+    # to a few ulps, where the plain divided difference (e^y - e^x)/(y - x) or
+    # squaring without resets loses up to 4e-9; measured worst 3.3e-15
+    with mpmath.workdps(60):
+        mx, my = mpmath.exp(x), mpmath.exp(y)
+        off = b * (my - mx) / (mpmath.mpf(y) - x) if x != y else b * mx
+        exact = np.array([[float(mx), float(off)], [0.0, float(my)]])
+    got = expm(np.array([[x, b], [0.0, y]]))
+    assert np.max(np.abs(got - exact) / np.where(exact == 0, 1.0, np.abs(exact))) <= 1.5e-14
+
+
+def test_expm_does_no_array_work_at_import():
+    assert all(type(c) is float for c in (*heatop._PADE13, heatop._THETA13))
+    assert not any(isinstance(value, np.ndarray) for value in vars(heatop).values())
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +522,34 @@ def test_series_bound_covers_rounding(alpha, n, t):
     exact = heat_moment_monomial(cfg, alpha, precision="extended").value
     res = heat_moment_monomial(cfg, alpha, route="series")
     assert abs(res.value - exact) <= res.error_bound
+
+
+def study_and_small_t_cells():
+    """The benchmark's study grids (a) and (b), 93 cells, and the 105-cell small-t
+    grid of x1^n: (alpha, N, t)."""
+    for alpha in ((4,), (8,), (12,)):
+        for n in (16, 32, 64, 128, 256, 512, 1024):
+            for t in (0.5, 1.0, 2.0):
+                yield alpha, n, t
+    for alpha in ((2, 2, 0), (4, 2, 0), (6, 2, 0), (2, 2, 2), (4, 2, 2)):
+        for n in (16, 64, 256):
+            for t in (0.5, 2.0):
+                yield alpha, n, t
+    for p in (2, 4, 8, 12, 16, 20, 24):
+        for n in (16, 1024, 10**6):
+            for t in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6):
+                yield (p,), n, t
+
+
+def test_matexp_bound_holds_on_the_study_and_small_t_grids():
+    # smallest bound/error ratio measured: 17 992, at x1^2, N = 16, t = 0.1
+    cells = list(study_and_small_t_cells())
+    assert len(cells) == 198
+    for alpha, n, t in cells:
+        cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha))
+        exact = heat_moment_monomial(cfg, alpha, precision="extended").value
+        res = heat_moment_monomial(cfg, alpha)
+        assert abs(res.value - exact) <= res.error_bound, (alpha, n, t)
 
 
 def random_moment_cases():
