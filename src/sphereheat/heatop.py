@@ -7,9 +7,9 @@ E f = sum_i m^i E[g_i(y1)].  The heat operator acts on y1^n through the
 one-variable part D of the sphere Laplacian, so the double routes work on
 the 1-D lattice of degrees D reaches from the parts, evaluated at sqrt(N):
 ``series`` runs the truncated power series for all parts at once, with a
-proven tail bound in the exact 1-norm plus a rounding estimate, and
-``matexp`` the scaling-and-squaring matrix exponential :func:`expm`.  With
-``precision="extended"`` the moment is instead the exact sum of the parts'
+proven tail bound in the 1-norm of D scaled by diag(1/n!) plus a rounding
+estimate, and ``matexp`` the scaling-and-squaring exponential :func:`expm`.
+With ``precision="extended"`` the moment is instead the exact sum of the parts'
 eigen expansions from :mod:`sphereheat.eigenmethod`, a polynomial in the
 drift m: sum w m^j exp(-c t/N) with rational w.  What does not depend
 on t (the parts, the lattice, its float operator, the base point values) is
@@ -22,7 +22,6 @@ in :mod:`sphereheat.sphere_mc`.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from .polyalg import Exponents, Polynomial, shift_first_variable_powers
 
 _CHUNK = 64  # series terms buffered between two folds into the running sum
 _SERIES_TOL = 1e-12  # absolute error the series route's proven bound must meet
+_U = 2.0**-53  # unit roundoff of a double
 
 
 class SeriesToleranceError(RuntimeError):
@@ -48,11 +48,11 @@ class SeriesToleranceError(RuntimeError):
 class MomentResult:
     """A heat-kernel moment with provenance.
 
-    ``error_bound`` is a proven tail + rounding estimate for the series
-    route, a machine-precision estimate for the matexp route, and a standard
-    error for Monte Carlo.  With extended precision the value is the double
-    nearest the exact moment and the bound half its ulp, rounded up to the
-    smallest positive double (0 only for a moment that vanishes identically).
+    ``error_bound`` is a proven tail bound, in D's 1-norm scaled by diag(1/n!),
+    plus a rounding estimate for the series route, a machine-precision estimate
+    for matexp, and a standard error for Monte Carlo.  With extended precision
+    the value is the double nearest the exact moment and the bound half its ulp,
+    rounded up to the smallest positive double (0 only for an identically 0 moment).
     """
 
     value: float
@@ -66,67 +66,59 @@ class MomentResult:
             raise ValueError("error_bound must be nonnegative")
 
 
-@functools.lru_cache(maxsize=128)  # a moment's bisections probe fewer n than this
-def _series_tail_bound(a: float, n_done: int) -> float:
-    """Upper bound for sum_{i > n_done} a^i / i!, valid once a < n_done + 2.
+def _series_stops(half_t: float, norm: float, fnorms: tuple[float, ...], tols: list[float],
+                  max_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's first n >= 1 with fnorm tail(a, n) <= tol, a = half_t norm, and
+    that bound (0 and 0 for a zero column or a = 0), from one upward scan.
 
-    Geometric majorant: a^(n+1)/(n+1)! * 1/(1 - a/(n+2)).  Computed through
-    logarithms so large a cannot overflow.  Memoized, so the stop bisections
-    of a moment's columns share their evaluations.
+    tail(a, n) = a^(n+1)/(n+1)! / (1 - a/(n+2)) majorizes sum_{i>n} a^i/i! once
+    n + 2 > a.  In floating point a is rounded up, the lead a^(n+1)/(n+1)! kept as
+    mantissa and power of two, and 1 + 4 (n + 4) u covers the 2n + 5 roundings of
+    fnorm tail(a, n).  Columns are tried by decreasing tol/fnorm (raised by 4u)
+    while that admits the lead, so most terms cost one comparison.
     """
-    if a <= 0:
-        return 0.0
-    if a >= n_done + 2:
-        return math.inf
-    log_lead = (n_done + 1) * math.log(a) - math.lgamma(n_done + 2)
-    ratio = 1.0 - a / (n_done + 2)
-    log_bound = log_lead - math.log(ratio)
-    if log_bound > 700.0:
-        return math.inf
-    return math.exp(log_bound)
+    a = half_t * norm * (1 + 4 * _U)
+    stops, tails = np.zeros(len(fnorms), dtype=int), np.zeros(len(fnorms))
+    ratio = {j: tols[j] / fn * (1 + 4 * _U) for j, fn in enumerate(fnorms) if fn and a}
+    todo = sorted(ratio, key=ratio.get, reverse=True)
+    mant, exp2, n = *math.frexp(a), 0  # the lead at n = 0: a
+    while todo:
+        n += 1
+        if n > max_terms:
+            raise SeriesToleranceError(f"series did not reach tol={tols[todo[0]]} in {max_terms}"
+                                       f" terms at scaled operator 1-norm {norm:.6g}")
+        mant, e = math.frexp(mant * (a / (n + 1)))
+        exp2 += e
+        if n + 2 > a:
+            lead = mant * (n + 2) / (n + 2 - a) * (1 + 4 * (n + 4) * _U)
+            for j in todo[:]:
+                if math.ldexp(lead, exp2) > ratio[j]:
+                    break
+                bound = math.ldexp(fnorms[j] * lead, exp2)
+                if bound <= tols[j]:
+                    stops[j], tails[j] = n, bound
+                    todo.remove(j)
+    return stops, tails
 
 
-def _series_stop(a: float, fnorm: float, tol: float, max_terms: int) -> int:
-    """First n >= 1 with fnorm * tail(a, n) <= tol, found by bisection.
+def _series_evolve(mat: np.ndarray, norm: float, fnorms: tuple[float, ...], t: float,
+                   block: np.ndarray, tols: list[float], max_terms: int = 20000) -> tuple:
+    """Series sums of exp((t/2) mat) on each column b of ``block``, to its own tolerance.
 
-    The tail bound is infinite while n + 2 <= a and strictly decreasing
-    after, so once the condition holds it holds for every larger n.
-    """
-    met = lambda n: fnorm * _series_tail_bound(a, n) <= tol  # noqa: E731
-    n = bisect.bisect_left(range(1, max_terms + 1), True, key=met) + 1
-    if n > max_terms:
-        raise SeriesToleranceError(f"series did not reach tol={tol} within {max_terms} "
-                                   f"terms (scaled operator norm {a:.3g})")
-    return n
-
-
-def _series_evolve(
-    mat: np.ndarray,
-    norm: float,
-    t: float,
-    block: np.ndarray,
-    tols: list[float],
-    max_terms: int = 20000,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Series sums of exp((t/2) mat) on each column of ``block``, to its own tolerance.
-
-    ``norm`` is ``mat``'s exact 1-norm.  Every column stops at the first term
-    whose proven remainder bound meets its tolerance; one ``mat @ block``
-    recursion runs to the latest stop.  Returns the sums, each column's
-    remainder bound, and sum_n |term_n| (from n = 0) for rounding estimates.
-    A zero column, or t = 0, takes no term and has a zero bound.
+    For a diagonal S with entries in (0, 1], ``norm`` bounds the 1-norm of S^-1 mat S
+    and ``fnorms`` bound the ||S^-1 b||_1, so the remainder after term n, S times that of
+    S^-1 mat S on S^-1 b, is at most fnorm tail(t/2 norm, n) in 1-norm (C. Moler
+    and C. Van Loan, SIAM Rev. 45, 2003).  Each column stops at the first term
+    whose bound meets its tolerance; one ``mat @ block`` recursion runs to the
+    latest stop.  Returns the sums, each column's bound, and sum_n |term_n| (from
+    n = 0) for rounding estimates.  A zero column, or t = 0, takes no term.
 
     Terms are written in chunks below a row that holds the running sum, and
     each chunk is folded into it by ``np.add.accumulate``, which adds in term
     order: the sums are those of a term-by-term loop, bit for bit.
     """
     half_t = 0.5 * t
-    a = half_t * norm
-    fnorms = np.sum(np.abs(block), axis=0)
-    stops = np.array([0 if t == 0 or fn == 0.0 else _series_stop(a, fn, tol, max_terms)
-                      for fn, tol in zip(fnorms, tols)], dtype=int)
-    tails = np.array([fn * _series_tail_bound(a, n) if n else 0.0
-                      for fn, n in zip(fnorms, stops)])
+    stops, tails = _series_stops(half_t, norm, fnorms, tols, max_terms)
     term = np.where(stops > 0, block, 0.0)
     terms = np.empty((_CHUNK + 1,) + block.shape)  # row 0: the running sum
     abs_terms = np.empty_like(terms)
@@ -254,9 +246,10 @@ def _prepare(N: int, parts: tuple) -> tuple:
 
     The lattice is every degree D reaches from the parts (n, n - 2, ... >= 0),
     lowest first, and D y1^n = lambda_n y1^n + n (n - 1) y1^(n-2).  Returns D as
-    a float matrix on it and its exact 1-norm, the base-point values
-    sqrt(N)^n, and the block whose column i is parts[i].  Memoized per
-    (parts, N), so its arrays are read-only.
+    a float matrix; the 1-norm of S^-1 D S, S = diag(1/n!) (D's diagonal and the
+    superdiagonal 1), rounded up from its exact value; sqrt(N)^n; the block of the
+    parts (columns b); and upper bounds on their ||S^-1 b||_1 (inf past degree 170).
+    Memoized per (parts, N), so its arrays are read-only.
     """
     degrees = sorted({d for g in parts for n, _ in g for d in range(n % 2, n + 1, 2)})
     index = {n: i for i, n in enumerate(degrees)}
@@ -265,16 +258,21 @@ def _prepare(N: int, parts: tuple) -> tuple:
         mat[index[n], index[n]] = eigenvalue(n, N)
         if n >= 2:
             mat[index[n - 2], index[n]] = n * (n - 1)
-    norm = float(max(abs(eigenvalue(n, N)) + n * (n - 1) for n in degrees))
+    # |lambda_n| grows with n: the top degree's column has the largest scaled norm
+    exact = abs(Fraction(mat[-1, -1])) + (degrees[-1] >= 2)
+    norm = float(exact) if float(exact) >= exact else math.nextafter(float(exact), math.inf)
     # the working-precision sqrt(N), never one rebuilt through the drift m
     pole = np.array([math.sqrt(N) ** n for n in degrees])
     block = np.zeros((len(index), len(parts)), order="F")
     for i, g in enumerate(parts):
         for n, coeff in g:
             block[index[n], i] = coeff
+    # sum n! |b_n|, raised by 8u over the roundings of n!, of each product and of the sum
+    fnorms = tuple(math.fsum((float(math.factorial(n)) if n < 171 else math.inf)
+                             * abs(float(c)) for n, c in g) * (1 + 8 * _U) for g in parts)
     for array in (mat, pole, block):
         array.flags.writeable = False
-    return mat, norm, pole, block
+    return mat, norm, fnorms, pole, block
 
 
 def heat_moment(
@@ -315,7 +313,7 @@ def heat_moment(
         value, bound = evaluate_exp_sum(eigen_moment_terms(cfg.N, parts), cfg.N, cfg.t)
         return MomentResult(value, route, bound, cfg, alpha)
 
-    mat, norm, pole, block = _prepare(cfg.N, parts)
+    mat, norm, fnorms, pole, block = _prepare(cfg.N, parts)
     p, m = block.shape[1], cfg.m
     scale_out = math.sqrt(cfg.N) ** f.degree()  # evaluation functional 1-norm bound
     if route == "matexp":
@@ -326,10 +324,10 @@ def heat_moment(
         # Shrink the inner tolerance so the proven truncation bound still
         # meets _SERIES_TOL after the pole evaluation and drift powers.
         tols = [_SERIES_TOL / (p * scale_out * max(1.0, m) ** i) for i in range(p)]
-        sums, tails, abs_sums = _series_evolve(mat, norm, cfg.t, block, tols)
+        sums, tails, abs_sums = _series_evolve(mat, norm, fnorms, cfg.t, block, tols)
         evolved = sums.T
         # rounding estimate: u (d + 2) times the pole-weighted sum of |term_n|
-        part_bounds = tails * scale_out + 2.0**-53 * (len(pole) + 2) * (pole @ abs_sums)
+        part_bounds = tails * scale_out + _U * (len(pole) + 2) * (pole @ abs_sums)
     values = [m**i * math.fsum(v * pole) for i, v in enumerate(evolved)]
     bounds = [m**i * b for i, b in enumerate(part_bounds)]
     return MomentResult(math.fsum(values), route, math.fsum(bounds), cfg, alpha)

@@ -9,10 +9,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from sphereheat.eigenmethod import (
     eigen_moment_terms,
+    eigenvalue,
     eigen_poly,
     eigen_poly_at_sqrtN,
     evaluate_exp_sum,
@@ -26,8 +29,7 @@ from sphereheat.heatop import (
     _first_coordinate_parts,
     _prepare,
     _series_evolve,
-    _series_stop,
-    _series_tail_bound,
+    _series_stops,
     expm,
     heat_apply_matexp,
     heat_moment,
@@ -58,11 +60,24 @@ def x1sq_closed_form(n: int, t: float) -> float:
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture
+def series_scans(monkeypatch):
+    """The (stops, tails) of every _series_stops call made while the test runs."""
+    scans = []
+    monkeypatch.setattr(heatop, "_series_stops",
+                        lambda *args: scans.append(_series_stops(*args)) or scans[-1])
+    return scans
+
+
+def plain_series(mat, t, block, tols, max_terms=20000):
+    """_series_evolve unscaled (S = I), with the float 1-norm of ``mat``."""
+    return _series_evolve(mat, float(np.max(np.sum(np.abs(mat), axis=0))),
+                          tuple(np.sum(np.abs(block), axis=0)), t, block, tols, max_terms)
+
+
 def dense_series(op, t, block, tols, max_terms=20000):
-    """_series_evolve on a builder's dense float matrix, with its 1-norm."""
-    mat = op.to_float()
-    return _series_evolve(mat, float(np.max(np.sum(np.abs(mat), axis=0))), t, block, tols,
-                          max_terms)
+    """_series_evolve on a builder's dense float matrix, unscaled."""
+    return plain_series(op.to_float(), t, block, tols, max_terms)
 
 
 def test_series_identity_at_zero_time():
@@ -98,33 +113,56 @@ def test_series_unreachable_tolerance_raises():
     # in a block, one column out of reach fails the whole call
     block = np.array([[1.0, 1.0], [0.0, 2.0]])
     mat = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    with pytest.raises(SeriesToleranceError, match="scaled operator 1-norm 2.5"):
+        _series_evolve(mat, 2.5, (1.0, 3.0), 1.0, block, [1e-2, 1e-15], max_terms=5)
+    # past degree 170, ||S^-1 b||_1 = sum n! |b_n| exceeds every double
+    cfg = SphereConfig(N=5, t=1e-3, k=1, ell=172)
+    assert math.isfinite(heat_moment_monomial(cfg, (172,)).value)
     with pytest.raises(SeriesToleranceError):
-        _series_evolve(mat, 2.5, 1.0, block, [1e-2, 1e-15], max_terms=5)
+        heat_moment_monomial(cfg, (172,), route="series")
+
+
+def tail_40_digits(a, n):
+    """The geometric majorant a^(n+1)/(n+1)! / (1 - a/(n+2)) of the series tail,
+    at 40 digits; infinite while n + 2 <= a."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(a)
+        if n + 2 <= a:
+            return mpmath.inf
+        return a ** (n + 1) / mpmath.factorial(n + 1) / (1 - a / (n + 2))
 
 
 @pytest.mark.parametrize("fnorm", [1e-3, 1.0, 1e6])
 @pytest.mark.parametrize("tol", [1e-16, 1e-12, 1e-6])
 def test_series_stop_equals_linear_scan(fnorm, tol):
+    # one scan stops each column at the first n whose bound meets its tolerance:
+    # checked against the 40-digit majorant, up to the scan's rounding margin, on
+    # a block of every (fnorm, tol) pair led by this one
+    cols = [(f, t) for f in (1e-3, 1.0, 1e6) for t in (1e-16, 1e-12, 1e-6)]
+    cols.sort(key=lambda c: c != (fnorm, tol))
+    fnorms, tols = [c[0] for c in cols], [c[1] for c in cols]
     for a in np.geomspace(1e-3, 500.0, 40):
-        scan = next(n for n in range(1, 20001) if fnorm * _series_tail_bound(a, n) <= tol)
-        assert _series_stop(a, fnorm, tol, 20000) == scan, a
+        stops, tails = _series_stops(0.5, 2.0 * a, fnorms, tols, 20000)
+        for (f, t), n, tail in zip(cols, stops, tails):
+            exact = f * tail_40_digits(a, n)
+            assert exact <= tail <= t and tail <= exact * (1 + 1e-9), (a, f, t)
+            assert f * tail_40_digits(a, n - 1) > t / (1 + 1e-9) or n == 1, (a, f, t)
 
 
 def test_series_block_zero_time_and_zero_columns():
     rng = np.random.default_rng(5)
     mat = rng.normal(size=(6, 6))
-    norm = float(np.max(np.sum(np.abs(mat), axis=0)))
     block = rng.normal(size=(6, 3))
     block[:, 1] = 0.0
-    sums, tails, abs_sums = _series_evolve(mat, norm, 0.0, block, [1e-12] * 3)
+    sums, tails, abs_sums = plain_series(mat, 0.0, block, [1e-12] * 3)
     assert np.array_equal(sums, block) and not tails.any()
     assert np.array_equal(abs_sums, np.abs(block))
     tols = [1e-13, 1e-13, 1e-6]
-    sums, tails, abs_sums = _series_evolve(mat, norm, 0.8, block, tols)
+    sums, tails, abs_sums = plain_series(mat, 0.8, block, tols)
     assert not sums[:, 1].any() and tails[1] == 0.0 and not abs_sums[:, 1].any()
     # every column is the sum it has alone, stopped at its own index
     for j in (0, 2):
-        alone, tail, _ = _series_evolve(mat, norm, 0.8, block[:, [j]], [tols[j]])
+        alone, tail, _ = plain_series(mat, 0.8, block[:, [j]], [tols[j]])
         assert tails[j] == tail[0] <= tols[j]
         assert np.allclose(sums[:, j], alone[:, 0], rtol=0, atol=1e-14 * abs_sums[:, j].max())
 
@@ -144,21 +182,142 @@ def term_by_term(mat, t, block, stops):
 
 @pytest.mark.parametrize("shape", [(1, 1), (20, 13)])
 @pytest.mark.parametrize("a", [2.5, 60.0])
-def test_chunked_series_equals_term_by_term_loop(shape, a):
+def test_chunked_series_equals_term_by_term_loop(shape, a, series_scans):
     # stops on both sides of the 64-term chunk boundaries, mixed within one block
     rng = np.random.default_rng(11)
     mat, block = rng.normal(size=(shape[0],) * 2), rng.normal(size=shape)
-    norm = float(np.max(np.sum(np.abs(mat), axis=0)))
-    t = 2.0 * a / norm
-    wanted = [n for n in (1, 63, 64, 65, 128, 130) if 0.5 * t * norm < n + 2]
+    t = 2.0 * a / float(np.max(np.sum(np.abs(mat), axis=0)))
+    wanted = [n for n in (1, 63, 64, 65, 128, 130) if a < n + 2]
     fnorms = np.sum(np.abs(block), axis=0)
     for offset in range(len(wanted)):
         stops = np.array([wanted[(offset + j) % len(wanted)] for j in range(shape[1])])
-        tols = [fn * _series_tail_bound(0.5 * t * norm, n) for fn, n in zip(fnorms, stops)]
-        sums, tails, abs_sums = _series_evolve(mat, norm, t, block, tols)
+        # 1e-9 above the majorant at the wanted stop, far below it one term earlier
+        tols = [float(fn * tail_40_digits(a, n)) * (1 + 1e-9) for fn, n in zip(fnorms, stops)]
+        sums, tails, abs_sums = plain_series(mat, t, block, tols)
         ref, abs_ref = term_by_term(mat, t, block, stops)
-        assert tails.tolist() == tols  # each column stopped where it was meant to
+        assert np.array_equal(series_scans[-1][0], stops)  # each column stopped where meant to
         assert sums.tobytes() == ref.tobytes() and abs_sums.tobytes() == abs_ref.tobytes()
+
+
+def exp_times_block_60_digits(N, degrees, block, t):
+    """exp((t/2) D) applied to each column of ``block``, at 60 digits, from the
+    eigenvectors of D on the lattice ``degrees``: D y^n = lambda_n y^n + n (n - 1)
+    y^(n-2), lambda_n = ``eigenvalue(n, N)``.  The eigenvector of lambda_m has
+    v_m = 1 and v_n = -(n + 2)(n + 1) v_(n+2) / (lambda_n - lambda_m) below m."""
+    index = {n: i for i, n in enumerate(degrees)}
+    vecs = {}
+    for m in degrees:
+        v = {m: Fraction(1)}
+        for n in range(m - 2, -1, -2):
+            v[n] = -(n + 2) * (n + 1) * v[n + 2] / (eigenvalue(n, N) - eigenvalue(m, N))
+        vecs[m] = v
+    mp = lambda x: mpmath.mpf(x.numerator) / x.denominator  # noqa: E731
+    out = []
+    with mpmath.workdps(60):
+        modes = {m: (mpmath.exp(mpmath.mpf(t) / 2 * mp(eigenvalue(m, N))),
+                     {n: mp(x) for n, x in v.items()}) for m, v in vecs.items()}
+        for col in block.T:
+            rest = {n: mpmath.mpf(float(col[index[n]])) for n in degrees}
+            value = dict.fromkeys(degrees, mpmath.mpf(0))
+            for m in reversed(degrees):  # eigenvector coordinates, top degree first
+                coeff, (decay, v) = rest[m], modes[m]
+                for n, x in v.items():
+                    rest[n] -= coeff * x
+                    value[n] += coeff * decay * x
+            out.append([value[n] for n in degrees])
+    return out
+
+
+@st.composite
+def lattice_cases(draw):
+    """(N, k, alpha, t, rel_tol): N in [3, 4096], k <= 3 below N, |alpha| <= 24,
+    t log-uniform in [1e-3, 4], rel_tol log-uniform in [1e-14, 1e-2]."""
+    N = draw(st.integers(3, 4096))
+    k = draw(st.integers(1, min(3, N - 1)))
+    deg = draw(st.integers(0, 24))
+    cuts = sorted(draw(st.lists(st.integers(0, deg), min_size=k - 1, max_size=k - 1)))
+    alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+    t = 10 ** draw(st.floats(-3.0, math.log10(4.0)))
+    return N, k, alpha, t, 10 ** draw(st.floats(-14.0, -2.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lattice_cases())
+def test_series_columns_are_within_tail_plus_rounding(case):
+    # each column: ||series - exp((t/2) D) b||_1 <= tail + u (d + 2) sum_n |term_n|_1,
+    # the reference independent of the series and of heatop's float matrix
+    N, k, alpha, t, rel_tol = case
+    parts = _first_coordinate_parts(N, k, ((alpha, Fraction(1)),))
+    if not any(parts):
+        return
+    mat, norm, fnorms, _, block = _prepare(N, parts)
+    degrees = sorted({d for g in parts for n, _ in g for d in range(n % 2, n + 1, 2)})
+    tols = (rel_tol * np.sum(np.abs(block), axis=0)).tolist()
+    sums, tails, abs_sums = _series_evolve(mat, norm, fnorms, t, block, tols)
+    ref = exp_times_block_60_digits(N, degrees, block, t)
+    with mpmath.workdps(60):
+        for i, column in enumerate(ref):
+            error = mpmath.fsum(abs(mpmath.mpf(float(x)) - r) for x, r in zip(sums[:, i], column))
+            rounding = 2.0**-53 * (len(degrees) + 2) * float(abs_sums[:, i].sum())
+            assert error <= tails[i] + rounding, (case, i)
+
+
+@pytest.mark.parametrize("n", [3, 16, 1024, 10**6])
+def test_prepare_bounds_the_scaled_norms_from_above(n):
+    # the operator norm is the least double at or above its exact value for the
+    # float D; each ||S^-1 b||_1 is above its exact value by less than 16 u
+    lattices = list(every_lattice()) + [
+        _first_coordinate_parts(n, len(alpha), ((alpha, Fraction(1)),))
+        for alpha in ((12,), (23,), (4, 2, 2), (6, 2, 0), (3, 4, 6))]
+    for parts in lattices:
+        mat, norm, fnorms, _, block = _prepare(n, parts)
+        degrees = sorted({d for g in parts for m, _ in g for d in range(m % 2, m + 1, 2)})
+        exact = max(abs(Fraction(x)) + (d >= 2) for d, x in zip(degrees, mat.diagonal()))
+        assert norm >= exact and math.nextafter(norm, -math.inf) < exact, (n, parts)
+        for col, fnorm in zip(block.T, fnorms):
+            exact = sum(math.factorial(d) * abs(Fraction(x)) for d, x in zip(degrees, col))
+            assert exact <= fnorm <= exact * (1 + Fraction(16, 2**53)), (n, parts)
+
+
+def series_cells():
+    """The benchmark's study grids (a) and (b): (alpha, N, t)."""
+    for alpha in ((4,), (8,), (12,)):
+        for n in (16, 32, 64, 128, 256, 512, 1024):
+            for t in (0.5, 1.0, 2.0):
+                yield alpha, n, t
+    for alpha in ((2, 2, 0), (4, 2, 0), (6, 2, 0), (2, 2, 2), (4, 2, 2)):
+        for n in (16, 64, 256):
+            for t in (0.5, 2.0):
+                yield alpha, n, t
+
+
+def test_scaled_series_stop_keeps_every_study_value(monkeypatch, series_scans):
+    # the factorial-scaled bound stops earlier than the plain 1-norm one (S = I),
+    # but every series value of the study grids is the same, bit for bit; on
+    # grid (a) (the first 63 cells) it sums under a third of the terms
+    cells = list(series_cells())
+    assert len(cells) == 93
+
+    def series(alpha, n, t):
+        cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha))
+        return heat_moment_monomial(cfg, alpha, route="series").value.hex()
+
+    def unscaled(N, parts):
+        mat, _, _, pole, block = _prepare(N, parts)
+        return (mat, float(np.max(np.sum(np.abs(mat), axis=0))),
+                tuple(np.sum(np.abs(block), axis=0)), pole, block)
+
+    scaled = [series(*cell) for cell in cells]
+    monkeypatch.setattr(heatop, "_prepare", unscaled)
+    assert [series(*cell) for cell in cells] == scaled
+    terms = [int(stops.max()) for stops, _ in series_scans]
+    assert len(terms) == 2 * 93 and 3 * sum(terms[:63]) <= sum(terms[93:156])
+
+
+def test_series_of_x1_to_the_12th_stops_within_100_terms(series_scans):
+    # the plain 1-norm of D, 144.1, took 480 terms here; the scaled one is 13.1
+    heat_moment_monomial(SphereConfig(N=1024, t=2.0, k=1, ell=12), (12,), route="series")
+    assert len(series_scans) == 1 and 0 < max(series_scans[0][0]) <= 100
 
 
 def test_series_agrees_with_matexp_on_all_basis_monomials():
@@ -641,7 +800,8 @@ def test_zero_polynomial_has_zero_moment_on_every_route(route, precision):
 
 def test_shared_memo_results_are_read_only():
     parts = _first_coordinate_parts(16, 2, (((4, 2), Fraction(1)),))
-    mat, _, pole, block = _prepare(16, parts)
+    mat, _, fnorms, pole, block = _prepare(16, parts)
+    assert isinstance(fnorms, tuple)
     for array in (mat, pole, block):
         with pytest.raises(ValueError):
             array[0] = 1.0
