@@ -82,13 +82,17 @@ def limit_density(params: LimitKernelParams, x: Sequence[float]) -> float:
     pt = np.asarray(x, dtype=float)
     if pt.shape != (params.k,):
         raise ValueError(f"expected a point of R^{params.k}")
-    return float(_density_on_points(params, pt[None, :])[0])
+    return float(_density(params, pt))
 
 
-def _density_on_points(params: LimitKernelParams, pts: np.ndarray) -> np.ndarray:
-    """Vectorized density on an (n, k) array of points."""
-    quad = pts**2 / (2.0 * params.variances())
-    return params.norm_const * np.exp(-quad.sum(axis=1))
+def _density(params: LimitKernelParams, xs: Sequence) -> np.ndarray:
+    """Density at the points whose k coordinates ``xs`` broadcast together.
+
+    One exp of the summed quadratic form, not a product of 1-D factors, so
+    the quadrature checks the product form instead of assuming it.
+    """
+    quad = sum(x**2 / (2.0 * v) for x, v in zip(xs, params.variances()))
+    return params.norm_const * np.exp(-quad)
 
 
 def gaussian_moment(alpha: Sequence[int], t: float) -> float:
@@ -145,34 +149,31 @@ def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_gaussian_decay(
-    fn: Callable[[np.ndarray], np.ndarray],
+    fn: Callable[[tuple[np.ndarray, ...]], np.ndarray],
     sigmas: Sequence[float],
     order: int = 120,
 ) -> float:
     """Tensor Gauss-Hermite quadrature of an integrand over R^len(sigmas).
 
-    ``fn`` is vectorized over an (n, k) array of points and must decay at
-    least like exp(-x_j^2 / (2 sigma_j^2)) per coordinate.  The nodes are
-    placed on a slightly widened scale per coordinate; the rule converges
-    geometrically for Gaussian-times-polynomial integrands.
+    ``fn`` gets the nodes as an open mesh (``np.ix_``: one array per
+    coordinate, each broadcasting against the others) and must decay at least
+    like exp(-x_j^2 / (2 sigma_j^2)) per coordinate.  Its values are
+    contracted with the weights one axis at a time, so the tensor grid of
+    points is never built.  The nodes are placed on a slightly widened scale
+    per coordinate; the rule converges geometrically for
+    Gaussian-times-polynomial integrands.
     """
     y, w = _hermite_nodes(order)
     scales = [1.25 * math.sqrt(2.0) * s for s in sigmas]
-    axes_nodes = [s * y for s in scales]
-    axes_weights = [s * w * np.exp(y**2) for s in scales]
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*axes_weights, indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    return float(np.sum(weights * fn(pts)))
+    values = np.broadcast_to(fn(np.ix_(*(s * y for s in scales))), (order,) * len(scales))
+    for s in reversed(scales):
+        values = values @ (s * w * np.exp(y**2))
+    return float(values)
 
 
 def density_mass_quadrature(params: LimitKernelParams, order: int = 120) -> float:
     """Total mass of the limit density by quadrature (should be one)."""
-    sigmas = np.sqrt(params.variances())
-    return integrate_gaussian_decay(
-        lambda pts: _density_on_points(params, pts), sigmas, order
-    )
+    return density_moment_quadrature(params, (0,) * params.k, order)
 
 
 def density_moment_quadrature(
@@ -181,16 +182,11 @@ def density_moment_quadrature(
     """Quadrature of x^alpha against the limit density (moment oracle)."""
     if len(alpha) != params.k:
         raise ValueError("exponent length must equal k")
-    sigmas = np.sqrt(params.variances())
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        mono = np.ones(pts.shape[0])
-        for j, n in enumerate(alpha):
-            if n:
-                mono = mono * pts[:, j] ** n
-        return mono * _density_on_points(params, pts)
-
-    return integrate_gaussian_decay(fn, sigmas, order)
+    return integrate_gaussian_decay(
+        lambda xs: math.prod(x**n for x, n in zip(xs, alpha)) * _density(params, xs),
+        np.sqrt(params.variances()),
+        order,
+    )
 
 
 _MARGINAL_TOLERANCE = 1e-7  # largest pointwise deviation the marginal check passes
@@ -223,18 +219,8 @@ def marginal_compatibility(k: int, m: int, t: float) -> MarginalReport:
     worst = 0.0
     sigma_rest = math.sqrt(params_k.var_rest)
     for lead in itertools.product([-1.0, 0.0, 1.0], repeat=m):
-        if m == k:
-            integrated = limit_density(params_k, lead)
-        else:
-
-            def fn(pts: np.ndarray) -> np.ndarray:
-                full = np.concatenate(
-                    [np.tile(lead, (pts.shape[0], 1)), pts], axis=1
-                )
-                return _density_on_points(params_k, full)
-
-            integrated = integrate_gaussian_decay(
-                fn, [sigma_rest] * (k - m), _MARGINAL_ORDER
-            )
+        integrated = integrate_gaussian_decay(
+            lambda xs: _density(params_k, (*lead, *xs)), [sigma_rest] * (k - m), _MARGINAL_ORDER
+        )
         worst = max(worst, abs(integrated - limit_density(params_m, lead)))
     return MarginalReport(k=k, m=m, t=t, max_abs_deviation=worst)

@@ -292,7 +292,8 @@ def heat_moment(
     the largest value a lattice monomial takes at the base point, so no
     result depends on ``cfg.ell``.  A moment whose parts all vanish (the zero
     polynomial, an odd power of a coordinate beyond the first) is 0 with
-    bound 0 on every route.
+    bound 0 on every route.  In double precision, a sqrt(N)^deg f past the
+    double range, or a value or bound that is not finite, is a ValueError.
     """
     if f.varcount != cfg.k:
         raise ValueError(f"polynomial has {f.varcount} variables, config k={cfg.k}")
@@ -313,9 +314,13 @@ def heat_moment(
         value, bound = evaluate_exp_sum(eigen_moment_terms(cfg.N, parts), cfg.N, cfg.t)
         return MomentResult(value, route, bound, cfg, alpha)
 
+    try:  # evaluation functional 1-norm bound, the largest base-point value
+        scale_out = math.sqrt(cfg.N) ** f.degree()
+    except OverflowError:
+        raise ValueError(f"sqrt(N)^{f.degree()} at N={cfg.N} exceeds the double range; "
+                         "use the exact eigen route") from None
     mat, norm, fnorms, pole, block = _prepare(cfg.N, parts)
     p, m = block.shape[1], cfg.m
-    scale_out = math.sqrt(cfg.N) ** f.degree()  # evaluation functional 1-norm bound
     if route == "matexp":
         exp_mat = expm(0.5 * cfg.t * mat)
         evolved = [exp_mat @ block[:, i] for i in range(p)]
@@ -328,9 +333,15 @@ def heat_moment(
         evolved = sums.T
         # rounding estimate: u (d + 2) times the pole-weighted sum of |term_n|
         part_bounds = tails * scale_out + _U * (len(pole) + 2) * (pole @ abs_sums)
-    values = [m**i * math.fsum(v * pole) for i, v in enumerate(evolved)]
-    bounds = [m**i * b for i, b in enumerate(part_bounds)]
-    return MomentResult(math.fsum(values), route, math.fsum(bounds), cfg, alpha)
+    try:
+        value = math.fsum(m**i * math.fsum(v * pole) for i, v in enumerate(evolved))
+        bound = math.fsum(m**i * b for i, b in enumerate(part_bounds))
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        value = bound = math.nan
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise ValueError(f"the {route} moment or its bound is not finite in double precision; "
+                         "use the exact eigen route")
+    return MomentResult(value, route, bound, cfg, alpha)
 
 
 def heat_moment_monomial(

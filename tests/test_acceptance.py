@@ -285,7 +285,7 @@ def test_criterion_09_monte_carlo_concordance():
             ends = mc_endpoints(mc)
             for alpha in alphas:
                 est = mc_moment(mc, alpha, endpoints=ends)
-                ref = heat_moment_monomial(cfg, alpha).value
+                ref = heat_moment_monomial(cfg, alpha, precision="extended").value
                 allowance = 3 * est.stderr + 10.0 * h  # documented O(h) bias
                 if abs(est.mean - ref) > allowance:
                     fails.append((n, t, alpha, est.mean, ref))

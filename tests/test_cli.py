@@ -173,6 +173,26 @@ def test_moment_command_prints_routes(capsys):
     assert "matexp" in out and "eigen" in out and "abs_error" in out
 
 
+def test_moment_past_the_double_range_fails_only_on_the_double_routes(capsys):
+    assert main(["moment", "--monomial", "172", "--N", "4096", "--t", "1",
+                 "--routes", "matexp,series,eigen"]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    for route in ("matexp", "series"):
+        assert lines[route].endswith("FAILED (sqrt(N)^172 at N=4096 exceeds the double range; "
+                                     "use the exact eigen route)")
+    assert "value=1.722671120125303e+110" in lines["eigen"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_moment_that_overflows_inside_a_double_route_fails_with_a_reason(capsys):
+    # sqrt(4096)^160 is a double, but the pole-weighted sums pass the double range
+    assert main(["moment", "--monomial", "160", "--N", "4096", "--t", "1",
+                 "--routes", "matexp,series"]) == 0
+    for route, line in zip(("matexp", "series"), capsys.readouterr().out.splitlines()):
+        assert line.endswith(f"FAILED (the {route} moment or its bound is not finite "
+                             "in double precision; use the exact eigen route)")
+
+
 def test_study_names_the_reason_of_each_failed_cell(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     rc = main(["study", "--monomial", "2,2", "--N", "16", "--t", "1", "--precision", "extended",
@@ -190,10 +210,12 @@ def test_study_names_the_reason_of_each_failed_cell(tmp_path, capsys):
 
 
 def test_moment_names_an_exp_sum_past_its_digit_budget(monkeypatch, capsys):
-    # x1^24 at N = 16, t = 1e-6 takes four passes, the last at 261 digits
-    argv = ["moment", "--monomial", "24", "--N", "16", "--t", "1e-6", "--routes", "eigen"]
+    # x1^24 at N = 16, t = 1e-6 takes four passes, the last at 261 digits; moment
+    # runs the exact eigen route alone by default (double matexp reads 213633.09375)
+    argv = ["moment", "--monomial", "24", "--N", "16", "--t", "1e-6"]
     assert main(argv) == 0
-    assert "value=6.6079866393869562e-132" in capsys.readouterr().out
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("eigen ") and "value=6.6079866393869562e-132" in line
     monkeypatch.setattr(eigenmethod, "_MAX_DPS", 150)
     assert main(argv) == 0
     assert "FAILED (exp-sum at N=16, t=1e-06 cancels past 150 digits)" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 """The limit law: density, normalization, moments, marginals, large t."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from sphereheat.gaussian_limit import (
     density_moment_quadrature,
     even_moment_factor,
     gaussian_moment,
+    integrate_gaussian_decay,
     limit_density,
     marginal_compatibility,
     standard_gaussian_moment,
@@ -89,6 +92,43 @@ def test_params_validation():
         LimitKernelParams(1.0, 0)
     with pytest.raises(ValueError):
         limit_density(LimitKernelParams(1.0, 2), [1.0])
+
+
+# ----------------------------------------------------------------------
+# quadrature
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_axis_by_axis_contraction_equals_the_tensor_grid_sum(k):
+    # (x1 + ... + xk)^4 times a Gaussian does not factor over the coordinates;
+    # the integrand is written here so that it takes a point or an open mesh
+    variances = LimitKernelParams(0.7, k).variances()
+    sigmas = np.sqrt(variances)
+
+    def fn(xs):
+        return sum(xs) ** 4 * np.exp(-sum(x**2 / (2.0 * v) for x, v in zip(xs, variances)))
+
+    y, w = np.polynomial.hermite.hermgauss(8)
+    scales = 1.25 * math.sqrt(2.0) * sigmas
+    terms = []
+    for idx in itertools.product(range(8), repeat=k):
+        point = [s * y[i] for s, i in zip(scales, idx)]
+        weight = math.prod(s * w[i] * math.exp(y[i] ** 2) for s, i in zip(scales, idx))
+        terms.append(weight * fn(point))
+    expect = math.fsum(terms)
+    assert integrate_gaussian_decay(fn, sigmas, order=8) == pytest.approx(expect, rel=1e-14)
+
+
+def test_moment_quadrature_never_holds_the_tensor_grid():
+    # the 120^3 grid as (n, 3) points alone is 40 MiB; one value array is 13 MiB
+    tracemalloc.start()
+    try:
+        density_moment_quadrature(LimitKernelParams(1.0, 3), (0, 4, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ----------------------------------------------------------------------
