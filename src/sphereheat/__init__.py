@@ -37,7 +37,7 @@ from .operators import (
     build_sphere_laplacian,
 )
 from .polyalg import BasisIndexer, Polynomial, shift_first_variable
-from .sphere_mc import McConfig, McEstimate, mc_moment, simulate_endpoint
+from .sphere_mc import McConfig, McEstimate, mc_moment
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "mc_moment",
     "monomial_in_eigenbasis",
     "shift_first_variable",
-    "simulate_endpoint",
     "t0_exact",
     "t0_series",
     "var_first",

@@ -5,18 +5,19 @@ Subcommands:
 * ``moment``  one monomial at one (N, t), any subset of routes
 * ``study``   grid over monomials x N values x t values x routes, CSV out
 * ``verify``  run the invariant suites, nonzero exit on failure
-* ``mc``      Monte Carlo estimate against the exact moment (eigen route)
+* ``mc``      one cell on routes mc and eigen: an estimate and the exact moment
 * ``pde``     residual and spectral checks of the 1-D parabolic factors
 
 Flags may also be supplied through ``--config FILE`` holding one
 ``key=value`` assignment per line (UTF-8, ``#`` comments), read as the
 subcommand's own flag ``--key=value``; explicit flags win, and a key that is
 not a flag of the subcommand is a usage error, as is an abbreviated flag or
-key.  Study cells are computed one after another; ``SPHEREHEAT_THREADS``
-sizes only the Monte Carlo process pool.  Floats are printed with 17
+key.  A grid has as many coordinates as its longest monomial.  Cells are
+computed one after another; ``SPHEREHEAT_THREADS`` sizes only the process
+pool of an ``mc`` cell.  Floats are printed with 17
 significant digits, a fixed seed makes reruns byte-identical, and a cell
 that fails keeps its reason, which ``moment`` and ``study`` print (the
-latter on stderr, so the CSV does not change).
+latter on stderr, so the CSV does not change) and ``mc`` reports as an error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .pde_appendix import (
     residual,
     spectral_evolve,
 )
-from .sphere_mc import McConfig, mc_endpoints, mc_moment
+from .sphere_mc import McConfig, McEstimate, mc_moment
 
 CSV_HEADER = [
     "monomial", "N", "t", "route", "value", "limit", "abs_error", "stderr", "fitted_rate",
@@ -70,7 +71,6 @@ class StudySpec:
     seed: int = 0
     out: str | None = None
     precision: str = "double"
-    k: int | None = None
 
     def __post_init__(self):
         if not self.monomials:
@@ -82,19 +82,16 @@ class StudySpec:
             raise ValueError("t values must be positive")
         if self.precision not in ("double", "extended"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        self.k = self.k or max(len(a) for a in self.monomials)
-        for a in self.monomials:
-            if len(a) > self.k:
-                raise ValueError(f"monomial {a} has more than k={self.k} coordinates")
-        self.monomials = [tuple(a) + (0,) * (self.k - len(a)) for a in self.monomials]
+        k = max(len(a) for a in self.monomials)
+        self.monomials = [tuple(a) + (0,) * (k - len(a)) for a in self.monomials]
         for name, values in (("monomial", self.monomials), ("N", self.n_values),
                              ("t", self.t_values), ("route", self.routes)):
             for i, v in enumerate(values):
                 if v in values[:i]:  # a repeated value would repeat rows and skew the fits
                     raise ValueError(f"{name} {v} is listed twice")
         for n in self.n_values:
-            if n <= self.k:
-                raise ValueError(f"N={n} must exceed k={self.k}")
+            if n <= k:
+                raise ValueError(f"N={n} must exceed the monomial length {k}")
 
 
 @dataclass
@@ -133,11 +130,11 @@ def _route_value(
     spec: StudySpec, alpha: tuple[int, ...], n: int, t: float, route: str
 ) -> tuple[float | None, float | None, str | None]:
     """(value, stderr, reason); value None marks a failed route, reason says why."""
-    cfg = SphereConfig(N=n, t=t, k=spec.k, ell=max(map(sum, spec.monomials)))
+    cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=max(map(sum, spec.monomials)))
     try:
         if route == "mc":
             mc = McConfig(cfg=cfg, step_h=spec.step, n_paths=spec.paths, seed=spec.seed)
-            est = mc_moment(mc, alpha, workers=1)
+            est = mc_moment(mc, alpha)
             return est.mean, est.stderr, None
         if route == "eigen":
             return heat_moment_monomial(cfg, alpha, precision="extended").value, None, None
@@ -247,12 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         values, mc_only = ("one value", "") if one_cell else ("comma list", " (mc route only)")
         p.add_argument("--N", type=_parse_int_list, help=f"sphere parameter N, {values}")
         p.add_argument("--t", type=_parse_float_list, help=f"time t, {values}")
-        p.add_argument("--k", type=int, help="number of coordinates (default: monomial length)")
         if not one_cell:
             p.add_argument("--routes", type=lambda s: s.split(","),
                            help=f"subset of {','.join(ALL_ROUTES)} (default: {','.join(routes)})")
-            p.add_argument("--precision", choices=("double", "extended"),
-                           help="float precision for the operator routes")
         p.add_argument("--paths", type=int, help="Monte Carlo path count" + mc_only)
         p.add_argument("--step", type=float, help="Monte Carlo time step" + mc_only)
         p.add_argument("--seed", type=int, help="Monte Carlo random seed" + mc_only)
@@ -265,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = command("verify", help="run invariant suites")
     p_verify.add_argument("suite", nargs="?", default="all",
                           choices=verify_mod.SUITES + ("all",))
-    p_verify.add_argument("--paths", type=int, help="Monte Carlo path count")
 
     grid_flags(command("mc", help="Monte Carlo estimate with reference value"))
 
@@ -325,10 +318,9 @@ def cmd_study(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = verify_mod.SUITES if args.suite == "all" else (args.suite,)
-    mc_kwargs = {} if args.paths is None else {"paths": args.paths}
     all_ok = True
     for name in suites:
-        results = verify_mod.run_suite(name, **mc_kwargs)
+        results = verify_mod.run_suite(name)
         print(f"[{name}]")
         for r in results:
             print(f"  {r.status:4s} {r.name}  ({r.detail})")
@@ -338,21 +330,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    spec = _make_spec(args, monomials=[(0, 2)], n_values=[8], routes=["mc"])
+    spec = _make_spec(args, monomials=[(0, 2)], n_values=[8], routes=["mc", "eigen"])
     if len(spec.monomials) * len(spec.n_values) * len(spec.t_values) > 1:
         raise ValueError("mc estimates one cell: give one monomial, one N and one t")
-    (alpha,), (n,), (t,) = spec.monomials, spec.n_values, spec.t_values
-    cfg = SphereConfig(N=n, t=t, k=spec.k, ell=sum(alpha))
-    mc = McConfig(cfg=cfg, step_h=spec.step, n_paths=spec.paths, seed=spec.seed)
-    endpoints = mc_endpoints(mc)
-    est = mc_moment(mc, alpha, endpoints=endpoints)
-    ref = heat_moment_monomial(cfg, alpha, precision="extended").value
-    z = abs(est.mean - ref) / est.stderr if est.stderr else float("inf")
-    print(f"monomial=({','.join(map(str, alpha))}) N={n} t={_fmt(t)} "
-          f"paths={mc.n_paths} step={_fmt(mc.step_h)} seed={mc.seed}")
-    print(f"estimate = {_fmt(est.mean)} +- {_fmt(est.stderr)}")
-    print(f"exact    = {_fmt(ref)}   (eigen route, exact exp-sum; {z:.2f} standard errors away)")
-    print(f"note: {est.bias_note}")
+    ref, est = run_study(spec)  # rows sort by route: eigen, then mc
+    for r in (ref, est):
+        if r.value is None:
+            raise ValueError(r.reason)
+    z = abs(est.value - ref.value) / est.stderr if est.stderr else float("inf")
+    print(f"monomial=({','.join(map(str, est.monomial))}) N={est.N} t={_fmt(est.t)} "
+          f"paths={spec.paths} step={_fmt(spec.step)} seed={spec.seed}")
+    print(f"estimate = {_fmt(est.value)} +- {_fmt(est.stderr)}")
+    print(f"exact    = {_fmt(ref.value)}   (eigen route, exact exp-sum; "
+          f"{z:.2f} standard errors away)")
+    print(f"note: {McEstimate.bias_note}")
     return 0
 
 

@@ -201,7 +201,11 @@ def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
     c_j = (N/4)^j n^(2j falling) / (j! (N/2 + n - j - 1)^(j falling)), built by
     the exact ratio c_(j+1) / c_j
     = N (n-2j) (n-2j-1) (N + 2n - 2j - 2) / (2 (j+1) (N + 2n - 4j - 2) (N + 2n - 4j - 4)).
-    The reconstruction is verified exactly, coefficient by coefficient, before returning.
+    Verified exactly in O(n), by induction on n from x^0 = p_0, x^1 = p_1: with c' the
+    verified x^(n-2), D x^n = lambda_n x^n + n (n-1) x^(n-2) and the eigen relations of
+    :func:`eigen_poly`, r = x^n - sum_j c_j p_(n-2j) has (D - lambda_n) r = sum_(j>=1)
+    [n (n-1) c'_(j-1) - c_j (lambda_(n-2j) - lambda_n)] p_(n-2j), each bracket 0.  As c_0 = 1,
+    r holds x^e, e < n, where D is triangular with distinct diagonal lambda_e: so r = 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -211,12 +215,13 @@ def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
         coeffs.append(coeffs[j] * Fraction(
             N * (n - 2 * j) * (n - 2 * j - 1) * (N + 2 * n - 2 * j - 2),
             2 * (j + 1) * (N + 2 * n - 4 * j - 2) * (N + 2 * n - 4 * j - 4)))
-    recon = [Fraction(0)] * len(coeffs)  # recon[i]: coefficient of x^(n-2i)
-    for j, c in enumerate(coeffs):
-        for i, e in enumerate(eigen_poly(n - 2 * j, N).coeffs, j):
-            recon[i] += c * e
-    if recon != [1] + [0] * (len(coeffs) - 1):
-        raise AssertionError(f"eigenbasis reconstruction failed for n={n}, N={N}")
+    eigen_poly(n, N)  # checks D p_n = lambda_n p_n
+    lam, lower = eigenvalue(n, N), ()
+    for e in range(n % 2, n - 1, 2):  # lowest first, so no call recurses deeper than one
+        lower = monomial_in_eigenbasis(e, N)
+    for j, c in enumerate(coeffs[1:], 1):
+        if c * (eigenvalue(n - 2 * j, N) - lam) != n * (n - 1) * lower[j - 1]:
+            raise AssertionError(f"eigenbasis expansion failed for n={n}, N={N}")
     return tuple(coeffs)
 
 

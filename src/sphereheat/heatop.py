@@ -31,6 +31,7 @@ import mpmath
 import numpy as np
 
 from .eigenmethod import eigen_moment_terms, eigenvalue, evaluate_exp_sum
+from .gaussian_limit import even_moment_factor
 from .operators import OperatorMatrix, SphereConfig
 from .polyalg import Exponents, Polynomial, shift_first_variable_powers
 
@@ -231,7 +232,7 @@ def _first_coordinate_parts(N: int, k: int, terms: tuple) -> tuple:
         part: dict[int, Fraction] = {}
         for (n, *b), c in g.terms.items():
             h = sum(b) // 2
-            c *= Fraction(math.prod(math.prod(range(e - 1, 0, -2)) for e in b),
+            c *= Fraction(math.prod(map(even_moment_factor, b)),
                           math.prod(range(N - 1, N - 1 + 2 * h, 2)))
             for l in range(h + 1):  # (N - y1^2)^h, expanded
                 w = c * math.comb(h, l) * (-1) ** l * N ** (h - l)
@@ -321,23 +322,24 @@ def heat_moment(
                          "use the exact eigen route") from None
     mat, norm, fnorms, pole, block = _prepare(cfg.N, parts)
     p, m = block.shape[1], cfg.m
-    if route == "matexp":
-        exp_mat = expm(0.5 * cfg.t * mat)
-        evolved = [exp_mat @ block[:, i] for i in range(p)]
-        part_bounds = [1e-13 * float(np.sum(np.abs(v))) * scale_out for v in evolved]
-    else:
-        # Shrink the inner tolerance so the proven truncation bound still
-        # meets _SERIES_TOL after the pole evaluation and drift powers.
-        tols = [_SERIES_TOL / (p * scale_out * max(1.0, m) ** i) for i in range(p)]
-        sums, tails, abs_sums = _series_evolve(mat, norm, fnorms, cfg.t, block, tols)
-        evolved = sums.T
-        # rounding estimate: u (d + 2) times the pole-weighted sum of |term_n|
-        part_bounds = tails * scale_out + _U * (len(pole) + 2) * (pole @ abs_sums)
-    try:
-        value = math.fsum(m**i * math.fsum(v * pole) for i, v in enumerate(evolved))
-        bound = math.fsum(m**i * b for i, b in enumerate(part_bounds))
-    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-        value = bound = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):  # the refusal below names an overflow
+        if route == "matexp":
+            exp_mat = expm(0.5 * cfg.t * mat)
+            evolved = [exp_mat @ block[:, i] for i in range(p)]
+            part_bounds = [1e-13 * float(np.sum(np.abs(v))) * scale_out for v in evolved]
+        else:
+            # Shrink the inner tolerance so the proven truncation bound still
+            # meets _SERIES_TOL after the pole evaluation and drift powers.
+            tols = [_SERIES_TOL / (p * scale_out * max(1.0, m) ** i) for i in range(p)]
+            sums, tails, abs_sums = _series_evolve(mat, norm, fnorms, cfg.t, block, tols)
+            evolved = sums.T
+            # rounding estimate: u (d + 2) times the pole-weighted sum of |term_n|
+            part_bounds = tails * scale_out + _U * (len(pole) + 2) * (pole @ abs_sums)
+        try:
+            value = math.fsum(m**i * math.fsum(v * pole) for i, v in enumerate(evolved))
+            bound = math.fsum(m**i * b for i, b in enumerate(part_bounds))
+        except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+            value = bound = math.nan
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise ValueError(f"the {route} moment or its bound is not finite in double precision; "
                          "use the exact eigen route")

@@ -37,13 +37,12 @@ as one (count, N-1) block, then, per block of up to ``_BLOCK`` steps, one
 for bit to ``chisquare(N-2, count)`` drawn step by step.  No buffer grows
 with the step count.  Estimates are bitwise reproducible however batches
 are scheduled over workers, and a full batch does not depend on n_paths;
-a path's values do depend on the rest of its batch, so
-:func:`simulate_endpoint` walks the whole batch of the path it returns.
-The coupled refinement (:func:`mc_refinement_diffs`) walks in the full
-space, because its coarse increments are sums of fine N-dimensional ones,
-on coordinate-major (N, count) arrays; each coarse step draws a
-(4, N, count) block of fine normals from stream 0.  Only a run on more
-than one worker imports the process pool.
+a path's values do depend on the rest of its batch.  The coupled
+refinement (:func:`mc_refinement_diffs`) walks in the full space, because
+its coarse increments are sums of fine N-dimensional ones, on
+coordinate-major (N, count) arrays; each coarse step draws a (4, N, count)
+block of fine normals from stream 0.  Only a run on more than one worker
+imports the process pool.
 """
 
 from __future__ import annotations
@@ -188,18 +187,6 @@ def _reduced_endpoints(mc: McConfig, batch: int, out: np.ndarray) -> np.ndarray:
 def _endpoint_batch(mc: McConfig, batch: int) -> np.ndarray:
     count = min(_BATCH, mc.n_paths - batch * _BATCH)
     return _reduced_endpoints(mc, batch, np.empty((count, mc.cfg.N)))
-
-
-def simulate_endpoint(mc: McConfig, path_index: int) -> np.ndarray:
-    """Endpoint of path ``path_index`` of the run ``mc``, in unshifted coordinates.
-
-    Equal bit for bit to row ``path_index`` of :func:`mc_endpoints`; it walks
-    the path's whole batch, whose paths share their streams.
-    """
-    if not 0 <= path_index < mc.n_paths:
-        raise IndexError(f"path {path_index} is not one of the run's {mc.n_paths} paths")
-    batch, row = divmod(path_index, _BATCH)
-    return _endpoint_batch(mc, batch)[row]
 
 
 def _worker_count(workers: int | None) -> int:

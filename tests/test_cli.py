@@ -153,11 +153,11 @@ def test_spec_validation():
         StudySpec(monomials=[(2, 0)], n_values=[8], t_values=[1.0], routes=["x"])
 
 
-def test_spec_rejects_a_monomial_longer_than_k():
-    with pytest.raises(ValueError, match="more than k=2"):
-        StudySpec(monomials=[(2, 2, 2)], n_values=[16], t_values=[1.0], routes=["matexp"], k=2)
+def test_spec_pads_monomials_to_the_longest():
     spec = StudySpec(monomials=[(2,), (2, 2)], n_values=[16], t_values=[1.0], routes=["matexp"])
-    assert spec.k == 2 and spec.monomials == [(2, 0), (2, 2)]
+    assert spec.monomials == [(2, 0), (2, 2)]
+    with pytest.raises(TypeError):  # the grid's coordinate count is the longest monomial's
+        StudySpec(monomials=[(2,)], n_values=[16], t_values=[1.0], routes=["matexp"], k=2)
 
 
 # ----------------------------------------------------------------------
@@ -183,9 +183,10 @@ def test_moment_past_the_double_range_fails_only_on_the_double_routes(capsys):
     assert "value=1.722671120125303e+110" in lines["eigen"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_moment_that_overflows_inside_a_double_route_fails_with_a_reason(capsys):
-    # sqrt(4096)^160 is a double, but the pole-weighted sums pass the double range
+    # sqrt(4096)^160 is a double, but the pole-weighted sums pass the double range;
+    # the refusal names the overflow, and NumPy warns of nothing
     assert main(["moment", "--monomial", "160", "--N", "4096", "--t", "1",
                  "--routes", "matexp,series"]) == 0
     for route, line in zip(("matexp", "series"), capsys.readouterr().out.splitlines()):
@@ -195,18 +196,17 @@ def test_moment_that_overflows_inside_a_double_route_fails_with_a_reason(capsys)
 
 def test_study_names_the_reason_of_each_failed_cell(tmp_path, capsys):
     out = tmp_path / "rows.csv"
-    rc = main(["study", "--monomial", "2,2", "--N", "16", "--t", "1", "--precision", "extended",
-               "--routes", "matexp,series", "--out", str(out)])
+    rc = main(["study", "--monomial", "172", "--N", "4096", "--t", "1",
+               "--routes", "eigen,series", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 0
-    assert captured.err == ("failed: (2,2) N=16 t=1 series: "
-                            "extended precision is provided for the matexp route\n")
+    assert captured.err == ("failed: (172) N=4096 t=1 series: sqrt(N)^172 at N=4096 "
+                            "exceeds the double range; use the exact eigen route\n")
     assert "1 route cells failed" in captured.out
     rows = list(csv.reader(out.read_text().splitlines()))
-    assert [r[3] for r in rows[1:]] == ["matexp", "series"]
+    assert [r[3] for r in rows[1:]] == ["eigen", "series"]
     assert rows[2][4:7] == ["failed", rows[1][5], ""]
-    double = heat_moment_monomial(SphereConfig(N=16, t=1.0, k=2, ell=4), (2, 2))
-    assert abs(float(rows[1][4]) - double.value) <= double.error_bound
+    assert rows[1][4] == "1.722671120125303e+110"
 
 
 def test_moment_names_an_exp_sum_past_its_digit_budget(monkeypatch, capsys):
@@ -251,21 +251,22 @@ def test_explicit_flags_override_config(tmp_path):
 
 
 def test_config_precision_is_checked_like_the_flag(tmp_path, capsys):
-    cfg = tmp_path / "study.cfg"
-    cfg.write_text("N=8\nt=1\nroutes=matexp\nmonomial=2,0\nprecision=single\n")
-    out = tmp_path / "rows.csv"
-    for argv in (["--config", str(cfg), "--out", str(out)],
-                 ["--monomial", "2,0", "--precision", "single"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["study", *argv])
-        assert exc.value.code == 2
-        assert "invalid choice: 'single'" in capsys.readouterr().err
-    assert not out.exists()
+    # the exact value is the eigen route; neither moment nor study takes a precision
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("monomial=2,0\nprecision=extended\n")
+    for command in ("moment", "study"):
+        for argv in (["--config", str(cfg)], ["--monomial", "2,0", "--precision", "extended"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *argv])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --precision" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,key", [
     ("pde", "N=4"), ("verify", "monomial=2"), ("mc", "routes=eigen"), ("study", "config=x.cfg"),
     ("study", "N=x"),
+    # k is the length of the longest monomial; verify's Monte Carlo suite has fixed inputs
+    ("moment", "k=2"), ("study", "k=2"), ("mc", "k=2"), ("verify", "paths=100"),
 ])
 def test_config_key_that_is_not_a_flag_of_the_command_is_usage_error(tmp_path, command, key):
     cfg = tmp_path / "run.cfg"
@@ -287,6 +288,10 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
     ["moment", "--monomial", "2", "--out", "x.csv"],
     ["mc", "--precision", "extended"],
     ["mc", "--out", "x.txt"],
+    ["moment", "--monomial", "2", "--k", "2"],
+    ["study", "--monomial", "2", "--k", "2"],
+    ["mc", "--k", "2"],
+    ["verify", "mc", "--paths", "100"],
 ])
 def test_flags_a_command_would_ignore_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -399,17 +404,6 @@ def test_invalid_grid_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_monomial_longer_than_k_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "study.csv"
-    rc = main(["study", "--monomial", "2,2,2", "--k", "2", "--N", "16", "--out", str(out)])
-    assert rc == 2
-    assert "more than k=2" in capsys.readouterr().err
-    assert not out.exists()
-    # the mc subcommand refuses it before it walks any path
-    rc = main(["mc", "--monomial", "0,0,2", "--k", "2", "--N", "8", "--paths", "10"])
-    assert rc == 2 and "more than k=2" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv,message", [
     (["--N", "16,16"], "N 16 is listed twice"),
     (["--monomial", "2,0"], "monomial (2, 0) is listed twice"),
@@ -430,6 +424,21 @@ def test_mc_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "estimate" in out and "exact" in out and "O(step_h)" in out
+    # the printed values are the mc and eigen cells of the same one-cell study
+    lines = out.splitlines()
+    estimate, stderr = lines[1].split("=")[1].split("+-")
+    exact = lines[2].split("=")[1].split()[0]
+    ref, est = run_study(StudySpec(monomials=[(0, 2)], n_values=[6], t_values=[0.5],
+                                   routes=["mc", "eigen"], paths=2000, step=2e-3, seed=5))
+    assert (float(estimate), float(stderr), float(exact)) == (est.value, est.stderr, ref.value)
+
+
+def test_mc_reports_the_reason_of_a_failed_cell_as_a_usage_error(monkeypatch, capsys):
+    # the exact cell of x1^24 at N = 16, t = 1e-6 needs 261 digits
+    monkeypatch.setattr(eigenmethod, "_MAX_DPS", 150)
+    assert main(["mc", "--monomial", "24", "--N", "16", "--t", "1e-6", "--step", "1e-6",
+                 "--paths", "10"]) == 2
+    assert capsys.readouterr().err == "error: exp-sum at N=16, t=1e-06 cancels past 150 digits\n"
 
 
 def test_mc_reference_names_the_exact_eigen_route(capsys):

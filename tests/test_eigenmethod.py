@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from sphereheat import eigenmethod
 from sphereheat.eigenmethod import (
     DegenerateParameterError,
     ExpSumPrecisionError,
@@ -171,6 +172,22 @@ def test_monomial_expansion_round_trip():
             for j, c in enumerate(coeffs):
                 recon = recon + c * eigen_poly(n - 2 * j, n_sphere).polynomial()
             assert recon == Polynomial.monomial((n,))
+
+
+def test_expansion_check_catches_a_perturbed_coefficient(monkeypatch, clear_caches):
+    # x^8 is checked against the expansion of x^6; one wrong coefficient there fails it
+    expand = eigenmethod.monomial_in_eigenbasis
+    clear_caches()
+
+    def perturbed(n, N):
+        coeffs = expand(n, N)
+        return coeffs[:1] + (coeffs[1] + Fraction(1, 10**9),) + coeffs[2:] if n == 6 else coeffs
+
+    monkeypatch.setattr(eigenmethod, "monomial_in_eigenbasis", perturbed)
+    with pytest.raises(AssertionError, match="expansion failed for n=8, N=10"):
+        expand(8, 10)
+    monkeypatch.undo()
+    expand(8, 10)  # the memo holds no perturbed expansion
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 10, 1024, 10**6])

@@ -19,7 +19,6 @@ from sphereheat.sphere_mc import (
     mc_endpoints,
     mc_moment,
     mc_refinement_diffs,
-    simulate_endpoint,
 )
 
 SEED = 20240601
@@ -37,8 +36,7 @@ def make_mc(n=6, t=0.5, k=2, paths=2000, h=2e-3, seed=SEED, ell=4):
 
 
 def test_zero_time_returns_base_point():
-    mc = make_mc(t=0.0)
-    end = simulate_endpoint(mc, 0)
+    end = mc_endpoints(make_mc(t=0.0), workers=1)[0]
     assert end[0] == pytest.approx(0.0, abs=1e-14)  # sqrt(N) - m(0, N) = 0
     assert np.all(end[1:] == 0.0)
 
@@ -46,8 +44,7 @@ def test_zero_time_returns_base_point():
 def test_radius_preserved_after_every_step():
     cfg = SphereConfig(N=5, t=0.2, k=2, ell=2)
     mc = McConfig(cfg=cfg, step_h=1e-2, n_paths=1, seed=3)
-    end = simulate_endpoint(mc, 0)
-    shifted = end.copy()
+    shifted = mc_endpoints(mc, workers=1)[0]
     shifted[0] += cfg.m
     rel = abs(np.linalg.norm(shifted) - math.sqrt(5)) / math.sqrt(5)
     assert rel <= 1e-12
@@ -73,16 +70,6 @@ def test_bitwise_determinism():
     e1 = mc_moment(mc, (0, 2), endpoints=a)
     e2 = mc_moment(mc, (0, 2), endpoints=c)
     assert e1 == e2  # identical McEstimate, bit for bit
-
-
-def test_single_path_matches_batched_run():
-    mc = make_mc(paths=_BATCH + 76)
-    assert mc.n_paths > _BATCH  # the last path is in a second, partial batch
-    ends = mc_endpoints(mc, workers=1)
-    for p in (0, _BATCH - 1, _BATCH, mc.n_paths - 1):
-        assert np.array_equal(simulate_endpoint(mc, p), ends[p])
-    with pytest.raises(IndexError):
-        simulate_endpoint(mc, mc.n_paths)
 
 
 @pytest.mark.parametrize("seed, batch", [(SEED, 0), (2**63 + 5, 2**32 - 1), (2**64 - 1, 2**40)])
