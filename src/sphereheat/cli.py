@@ -78,8 +78,8 @@ class StudySpec:
         for r in self.routes:
             if r not in ALL_ROUTES:
                 raise ValueError(f"unknown route {r!r}")
-        if any(t <= 0 for t in self.t_values):
-            raise ValueError("t values must be positive")
+        if not all(0 < t < math.inf for t in self.t_values):
+            raise ValueError("t values must be positive and finite")
         if self.precision not in ("double", "extended"):
             raise ValueError(f"unknown precision {self.precision!r}")
         k = max(len(a) for a in self.monomials)

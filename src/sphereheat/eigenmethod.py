@@ -8,12 +8,15 @@ applying exp((t/2) D) eigenvalue by eigenvalue, and evaluating at sqrt(N)
 yields finite-N moments in closed form, polynomials in the drift
 m = sqrt(N) exp((t/2)(1/N - 1)): sums of rationals times m^j exp(-c t/N),
 which :func:`evaluate_exp_sum` adds exactly from powers of m and exp(-t/N).
-:func:`eigen_moment_terms` is the one exact derivation of the package:
-:mod:`sphereheat.heatop` reduces every moment to first-coordinate parts
-and sums their eigen expansions through it.
+The one exact derivation of the package is two steps: the rotation
+reduction :func:`_first_coordinate_parts` turns a polynomial into parts in
+the shifted first coordinate, and :func:`eigen_moment_terms` sums their
+eigen expansions.  :mod:`sphereheat.heatop` takes every moment through
+them, and :func:`finite_moment_x1` is their x1^n case.
 
-The module also carries the 1/N power-series machinery for the rational
-factor t0(h) that drives the large-N moment analysis.
+The module also carries the 1/N power series of the rational factor t0(h)
+that drives the large-N moment analysis, each coefficient polynomial
+solved from the recurrence of t0.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Mapping, Sequence
 
 import mpmath
 
-from .polyalg import Polynomial
+from .gaussian_limit import even_moment_factor
+from .polyalg import Polynomial, shift_first_variable_powers
 
 
 class DegenerateParameterError(ValueError):
@@ -155,15 +159,16 @@ def pw_product_form(n: int, N: int) -> Fraction:
 
 def pw_simplified_form(n: int, N: int) -> Fraction:
     """The compact form (N-1)^(n rising) / (2^n (N/2)^(n rising)) of
-    p_n(sqrt(N)) / N^(n/2).
+    p_n(sqrt(N)) / N^(n/2), which is t0(n) at j = 0.
 
     This form does not match direct evaluation for n >= 1 (already p_1
-    gives (N-1)/N instead of 1); in fact it reproduces the direct value of
-    degree n+1 exactly, i.e. it telescopes a ratio that is shifted by one
-    degree.  It is exposed solely so the mismatch can be reported; all
-    computation uses :func:`pw_product_form`.
+    gives (N-1)/N instead of 1): it is prod_(i<n) (N-1+i) / (N+2i), the
+    product of :func:`evaluation_ratio` over 1 <= i <= n, which carries the
+    direct value 1 of degree 1 to that of degree n+1.  It is exposed solely
+    so the mismatch can be reported; all computation uses
+    :func:`pw_product_form`.
     """
-    return rising(N - 1, n) / (2**n * rising(Fraction(N, 2), n))
+    return t0_exact(0, n, N)
 
 
 @dataclass(frozen=True)
@@ -264,7 +269,8 @@ def evaluate_exp_sum(
     within (3 + t) u with its exp, sqrt(N) and product; -t/N takes one, so e
     is within (1 + t) u.  A power x^j of a base within a u is within
     (j a + 1) u and a term's products are exact, so its transcendental
-    factor is within K u, K = (3 + t) j + (1 + t) c + 8, the 8 covering both
+    factor is within K u, K = (3 + T) j + (1 + T) c + 8 with T = ceil(t) (in
+    integers, as t may be near the double range), the 8 covering both
     powers' roundings and every second-order term.  P is dps digits plus
     bit_length(K) + 11 bits, so K u < 2^-10 10^-dps, and a term below
     2 10^top (top is a float estimate) is off by less than 2^-9 10^(top - dps),
@@ -290,13 +296,16 @@ def evaluate_exp_sum(
 
 def _grid_float(total: int, g: int) -> float:
     """total * 2^g, correctly rounded to a double."""
+    if total.bit_length() + g <= -1075:  # below half the least subnormal, even at a huge -g
+        return math.copysign(0.0, total)
     return total / (1 << -g) if g < 0 else float(total << g)
 
 
 def _exp_sum_at(terms: Mapping, N: int, t: float, top: float, dps: int) -> tuple[int, int]:
     """The exp-sum of :func:`evaluate_exp_sum` at dps digits, largest term 10^top,
     as an integer total on the grid 2^g: (total, g)."""
-    k_max = math.ceil(max(((3 + t) * j + (1 + t) * c for j, c in terms), default=0) + 8)
+    t_up = math.ceil(t)
+    k_max = max(((3 + t_up) * j + (1 + t_up) * c for j, c in terms), default=0) + 8
     g = math.floor((top - dps) * math.log2(10)) - 10
     with mpmath.workprec(math.ceil(dps * math.log2(10)) + k_max.bit_length() + 11):
         tt = mpmath.mpf(t)
@@ -310,7 +319,7 @@ def _exp_sum_at(terms: Mapping, N: int, t: float, top: float, dps: int) -> tuple
         if shift >= 0:
             total += (w.numerator * mm * me << shift) // w.denominator
         else:
-            total += w.numerator * mm * me // (w.denominator << -shift)
+            total += (w.numerator * mm * me >> -shift) // w.denominator
     return total, g
 
 
@@ -330,6 +339,32 @@ class FiniteMomentX1:
     def evaluate_extended(self, t: float) -> float:
         """Numeric value of the moment, through :func:`evaluate_exp_sum`."""
         return evaluate_exp_sum(self.terms, self.N, t)[0]
+
+
+@lru_cache(maxsize=256)
+def _first_coordinate_parts(N: int, k: int, terms: tuple) -> tuple:
+    """Parts of f = sum c x^alpha over (alpha, c) in terms, with E f = sum_i m^i E[g_i(y1)]:
+    parts[i] lists the (n, c) of g_i = sum c y1^n by increasing n.
+
+    Given y1 = x1 + m, the other coordinates are uniform on the sphere of
+    radius sqrt(N - y1^2) in N - 1 dimensions, so E[prod_j x_j^b_j | y1] is 0
+    if some b_j is odd and c_b(N) (N - y1^2)^h otherwise, h = |b|/2, with
+    c_b(N) = prod (b_j - 1)!! / prod_(i<h) (N - 1 + 2i) (G. B. Folland, How to
+    integrate a polynomial over a sphere, Amer. Math. Monthly 108, 2001).
+    """
+    even = {alpha: c for alpha, c in terms if not any(e % 2 for e in alpha[1:])}
+    parts = []
+    for g in shift_first_variable_powers(Polynomial(k, even)):
+        part: dict[int, Fraction] = {}
+        for (n, *b), c in g.terms.items():
+            h = sum(b) // 2
+            c *= Fraction(math.prod(map(even_moment_factor, b)),
+                          math.prod(range(N - 1, N - 1 + 2 * h, 2)))
+            for l in range(h + 1):  # (N - y1^2)^h, expanded
+                w = c * math.comb(h, l) * (-1) ** l * N ** (h - l)
+                part[n + 2 * l] = part.get(n + 2 * l, 0) + w
+        parts.append(tuple(sorted((n, c) for n, c in part.items() if c)))
+    return tuple(parts)
 
 
 @lru_cache(maxsize=256)
@@ -359,11 +394,12 @@ def eigen_moment_terms(
 
 @lru_cache(maxsize=1024)
 def finite_moment_x1(n: int, N: int) -> FiniteMomentX1:
-    """The exact finite-N moment of x1^n: :func:`eigen_moment_terms` of the
-    binomial parts of (y1 - m)^n.  Memoized per (n, N)."""
+    """The exact finite-N moment of x1^n, the x1^n case of
+    :func:`_first_coordinate_parts` and :func:`eigen_moment_terms`.  Memoized
+    per (n, N)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    parts = tuple(((n - i, Fraction(math.comb(n, i) * (-1) ** i)),) for i in range(n + 1))
+    parts = _first_coordinate_parts(N, 1, (((n,), Fraction(1)),))
     return FiniteMomentX1(n=n, N=N, terms=eigen_moment_terms(N, parts))
 
 
@@ -386,23 +422,6 @@ def _poly_eval_frac(coeffs: Sequence[Fraction], x) -> Fraction:
     for c in reversed(list(coeffs)):
         out = out * x + c
     return out
-
-
-def _interpolate(points: Sequence[tuple[int, Fraction]]) -> tuple[Fraction, ...]:
-    """Exact Lagrange interpolation through the given integer nodes."""
-    total = Polynomial.zero(1)
-    x = Polynomial.variable(1, 0)
-    for xi, yi in points:
-        basis = Polynomial.constant(1, Fraction(1))
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            basis = basis * (x - Polynomial.constant(1, Fraction(xj)))
-            denom *= Fraction(xi - xj)
-        total = total + (yi / denom) * basis
-    degree = total.degree()
-    return tuple(total.coefficient((d,)) for d in range(degree + 1))
 
 
 def _initial_constants(j: int, order: int) -> list[Fraction]:
@@ -457,33 +476,23 @@ class SeriesCoefficients:
 def t0_series(j: int, L: int) -> SeriesCoefficients:
     """Compute the 1/N expansion coefficients u_0 ... u_L of t0(h).
 
-    Values of each u_l on 0..2l are generated from the recurrence, with the
-    additive constant fixed by the exact expansion of t0(0); Lagrange
-    interpolation recovers the polynomial, which is then re-verified
-    against the recurrence at extra points.
+    With a_k the h^k coefficients of u_l and r_i those of the right side
+    r(h) = (h-1) u_(l-1)(h) - (2h+2j) u_(l-1)(h+1), of degree 2l-1, the h^i
+    coefficient of u_l(h+1) - u_l(h) = r(h) reads sum_(k>i) C(k,i) a_k = r_i.
+    It is solved for a_(i+1) from i = 2l-1 down; a_0 comes from the exact
+    expansion of t0(0).
     """
     if j < 0 or L < 0:
         raise ValueError("j and L must be >= 0")
     init = _initial_constants(j, L)
-    polys: list[tuple[Fraction, ...]] = []
-    for ell in range(L + 1):
-        if ell == 0:
-            polys.append((init[0],))
-            continue
-        prev = polys[ell - 1]
-        npts = 2 * ell + 4  # degree 2*ell plus verification slack
-        values = [init[ell]]
-        for h in range(npts - 1):
-            step = (
-                (h - 1) * _poly_eval_frac(prev, Fraction(h))
-                - (2 * h + 2 * j) * _poly_eval_frac(prev, Fraction(h + 1))
-            )
-            values.append(values[-1] + step)
-        coeffs = _interpolate(list(enumerate(values[: 2 * ell + 1])))
-        for h in range(2 * ell + 1, npts):
-            if _poly_eval_frac(coeffs, Fraction(h)) != values[h]:
-                raise AssertionError(
-                    f"u_{ell} is not a degree-{2 * ell} polynomial (j={j})"
-                )
-        polys.append(coeffs)
+    polys = [(init[0],)]
+    for ell in range(1, L + 1):
+        p, deg = polys[-1] + (0,), 2 * ell
+        # p: u_(l-1) padded to 2l coefficients; q: u_(l-1)(h+1); r: (h-1) p - (2h+2j) q
+        q = [sum(math.comb(k, i) * p[k] for k in range(i, deg)) for i in range(deg)]
+        r = [(p[i - 1] - 2 * q[i - 1] if i else 0) - p[i] - 2 * j * q[i] for i in range(deg)]
+        a = [init[ell]] + [Fraction(0)] * deg
+        for i in range(deg - 1, -1, -1):
+            a[i + 1] = (r[i] - sum(math.comb(k, i) * a[k] for k in range(i + 2, deg + 1))) / (i + 1)
+        polys.append(tuple(a))
     return SeriesCoefficients(j=j, u=tuple(polys))

@@ -2,10 +2,11 @@
 
 The heat-kernel measure is based at the pole and invariant under the
 rotations that fix the first axis, so every moment is one-dimensional:
-f becomes exact parts g_i of the shifted first coordinate y1 with
-E f = sum_i m^i E[g_i(y1)].  The heat operator acts on y1^n through the
-one-variable part D of the sphere Laplacian, so the double routes work on
-the 1-D lattice of degrees D reaches from the parts, evaluated at sqrt(N):
+the reduction of :mod:`sphereheat.eigenmethod` turns f into exact parts
+g_i of the shifted first coordinate y1 with E f = sum_i m^i E[g_i(y1)].
+The heat operator acts on y1^n through the one-variable part D of the
+sphere Laplacian, so the double routes work on the 1-D lattice of degrees
+D reaches from the parts, evaluated at sqrt(N):
 ``series`` runs the truncated power series for all parts at once, with a
 proven tail bound in the 1-norm of D scaled by diag(1/n!) plus a rounding
 estimate, and ``matexp`` the scaling-and-squaring exponential :func:`expm`.
@@ -30,10 +31,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .eigenmethod import eigen_moment_terms, eigenvalue, evaluate_exp_sum
-from .gaussian_limit import even_moment_factor
+from .eigenmethod import (_first_coordinate_parts, eigen_moment_terms, eigenvalue,
+                          evaluate_exp_sum)
 from .operators import OperatorMatrix, SphereConfig
-from .polyalg import Exponents, Polynomial, shift_first_variable_powers
+from .polyalg import Exponents, Polynomial
 
 
 _CHUNK = 64  # series terms buffered between two folds into the running sum
@@ -216,32 +217,6 @@ def heat_apply_matexp(op: OperatorMatrix, t: float, precision: str = "double"):
 
 
 @functools.lru_cache(maxsize=256)
-def _first_coordinate_parts(N: int, k: int, terms: tuple) -> tuple:
-    """Parts of f = sum c x^alpha over (alpha, c) in terms, with E f = sum_i m^i E[g_i(y1)]:
-    parts[i] lists the (n, c) of g_i = sum c y1^n by increasing n.
-
-    Given y1 = x1 + m, the other coordinates are uniform on the sphere of
-    radius sqrt(N - y1^2) in N - 1 dimensions, so E[prod_j x_j^b_j | y1] is 0
-    if some b_j is odd and c_b(N) (N - y1^2)^h otherwise, h = |b|/2, with
-    c_b(N) = prod (b_j - 1)!! / prod_(i<h) (N - 1 + 2i) (G. B. Folland, How to
-    integrate a polynomial over a sphere, Amer. Math. Monthly 108, 2001).
-    """
-    even = {alpha: c for alpha, c in terms if not any(e % 2 for e in alpha[1:])}
-    parts = []
-    for g in shift_first_variable_powers(Polynomial(k, even)):
-        part: dict[int, Fraction] = {}
-        for (n, *b), c in g.terms.items():
-            h = sum(b) // 2
-            c *= Fraction(math.prod(map(even_moment_factor, b)),
-                          math.prod(range(N - 1, N - 1 + 2 * h, 2)))
-            for l in range(h + 1):  # (N - y1^2)^h, expanded
-                w = c * math.comb(h, l) * (-1) ** l * N ** (h - l)
-                part[n + 2 * l] = part.get(n + 2 * l, 0) + w
-        parts.append(tuple(sorted((n, c) for n, c in part.items() if c)))
-    return tuple(parts)
-
-
-@functools.lru_cache(maxsize=256)
 def _prepare(N: int, parts: tuple) -> tuple:
     """The t-independent part of the double routes, on the 1-D lattice.
 
@@ -285,9 +260,10 @@ def heat_moment(
     """Heat-kernel moment of a polynomial in the unshifted coordinates.
 
     Pipeline: reduce f to one-variable parts g_i(y1) of the shifted first
-    coordinate, E f = sum_i m^i E[g_i(y1)] (:func:`_first_coordinate_parts`),
-    then evolve each part by exp((t/2) D) on the 1-D lattice of degrees D
-    reaches, evaluate at sqrt(N), and recombine with compensated summation;
+    coordinate, E f = sum_i m^i E[g_i(y1)] (the rotation reduction
+    :func:`sphereheat.eigenmethod._first_coordinate_parts`), then evolve each
+    part by exp((t/2) D) on the 1-D lattice of degrees D reaches, evaluate at
+    sqrt(N), and recombine with compensated summation;
     with ``precision="extended"``, sum the parts' eigen expansions exactly
     instead.  The bounds and the series tolerance scale with sqrt(N)^deg f,
     the largest value a lattice monomial takes at the base point, so no

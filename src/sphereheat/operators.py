@@ -58,8 +58,8 @@ class SphereConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.N <= self.k:
             raise ValueError(f"need k < N, got k={self.k}, N={self.N}")
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+        if not 0 <= self.t < math.inf:
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if self.ell < 0:
             raise ValueError(f"ell must be >= 0, got {self.ell}")
 
@@ -209,18 +209,16 @@ def _hermite_rule(varcount: int) -> Callable[[Polynomial], Polynomial]:
 
 
 @lru_cache(maxsize=None)
-def build_D(N: int, ell: int, varcount: int = 1) -> OperatorMatrix:
+def build_D(N: int, ell: int) -> OperatorMatrix:
     """First-coordinate operator D = d1^2 - (1-2/N) x1 d1 - (1/N)(x1 d1)^2.
 
     On x1^n the action is n(n-1) x1^(n-2) + lambda_n x1^n with the exact
-    eigenvalue lambda_n = -n (1 + (n-2)/N).  Defaults to the one-variable
-    space; pass a larger varcount to embed it in a joint basis (it then
-    ignores the other variables).
+    eigenvalue lambda_n = -n (1 + (n-2)/N), on the one-variable basis of
+    degree <= ell.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    indexer = BasisIndexer(varcount, ell)
-    return operator_from_rule(indexer, _first_part_rule(N))
+    return operator_from_rule(BasisIndexer(1, ell), _first_part_rule(N))
 
 
 @lru_cache(maxsize=None)
@@ -245,17 +243,14 @@ def build_hermite_limit(k: int, ell: int) -> OperatorMatrix:
     return operator_from_rule(BasisIndexer(k, ell), _hermite_rule(k))
 
 
-def build_sphere_laplacian(
-    cfg: SphereConfig, ell: int | None = None, include_mixed_term: bool = True
-) -> OperatorMatrix:
-    """Sphere Laplacian L = D + E - (2/N) R1 Ry on the joint degree <= ell basis.
+def build_sphere_laplacian(cfg: SphereConfig, include_mixed_term: bool = True) -> OperatorMatrix:
+    """Sphere Laplacian L = D + E - (2/N) R1 Ry on the joint degree <= cfg.ell basis.
 
     Built column by column from :func:`_sphere_rule`.
     ``include_mixed_term=False`` yields the decoupled operator D + E whose
     distance to L vanishes like 1/N in the moments.
     """
-    ell = cfg.ell if ell is None else ell
-    return _laplacian_cached(cfg.N, cfg.k, ell, include_mixed_term)
+    return _laplacian_cached(cfg.N, cfg.k, cfg.ell, include_mixed_term)
 
 
 @lru_cache(maxsize=None)

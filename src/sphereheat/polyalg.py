@@ -113,9 +113,6 @@ class Polynomial:
             out[alpha] = out.get(alpha, 0) - coeff
         return Polynomial(self.varcount, out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.varcount, {a: -c for a, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_compatible(other)
@@ -135,18 +132,6 @@ class Polynomial:
             return Polynomial.zero(self.varcount)
         return Polynomial(self.varcount, {a: scalar * c for a, c in self.terms.items()})
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial.constant(self.varcount, Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.varcount != other.varcount:
             raise ValueError(
@@ -154,7 +139,7 @@ class Polynomial:
             )
 
     # ------------------------------------------------------------------
-    # calculus and evaluation
+    # calculus
     # ------------------------------------------------------------------
 
     def degree(self) -> int:
@@ -173,27 +158,6 @@ class Polynomial:
             key = tuple(beta)
             out[key] = out.get(key, 0) + e * coeff
         return Polynomial(self.varcount, out)
-
-    def eval(self, point: Sequence) -> object:
-        """Evaluate at a point.
-
-        With rational coefficients and a rational point the result is an
-        exact ``Fraction``; with float entries ordinary float arithmetic
-        applies.
-        """
-        vals = list(point)
-        if len(vals) != self.varcount:
-            raise ValueError(
-                f"point has length {len(vals)}, expected {self.varcount}"
-            )
-        total = 0
-        for alpha, coeff in self.terms.items():
-            term = coeff
-            for e, v in zip(alpha, vals):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
 
     def coefficient(self, alpha: Sequence[int]):
         return self.terms.get(tuple(alpha), Fraction(0))

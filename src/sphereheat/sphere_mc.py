@@ -75,6 +75,8 @@ class McConfig:
             raise ValueError("step_h must be positive")
         if self.cfg.t > 0 and self.step_h > self.cfg.t:
             raise ValueError("step_h must not exceed t")
+        if not math.isfinite(self.cfg.t / self.step_h):
+            raise ValueError(f"t / step_h = {self.cfg.t} / {self.step_h} exceeds the double range")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
 

@@ -402,6 +402,15 @@ def test_invalid_grid_is_usage_error(capsys):
     rc = main(["study", "--monomial", "2,0", "--N", "2", "--t", "1"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    for command in ("moment", "study"):
+        for t in ("inf", "nan"):
+            assert main([command, "--monomial", "2", "--t", t]) == 2
+            assert "t values must be positive and finite" in capsys.readouterr().err
+    # t / step overflows: the mc cell fails with its reason, and mc reports it as an error
+    assert main(["moment", "--monomial", "2", "--t", "1e308", "--routes", "mc"]) == 0
+    assert "FAILED (t / step_h = 1e+308 / 0.001 exceeds the double" in capsys.readouterr().out
+    assert main(["mc", "--monomial", "2", "--t", "1e308"]) == 2
+    assert "exceeds the double range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [

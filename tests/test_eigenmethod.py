@@ -317,6 +317,14 @@ def test_exp_sum_raises_past_its_digit_budget():
     assert evaluate_exp_sum(terms, 16, 0.0) == (0.0, 5e-324)
 
 
+def test_exp_sum_at_huge_t():
+    # x1^4 at N = 16 tends to the uniform-sphere value 3N/(N+2) = 8/3 and x1^3 to 0;
+    # at t = 1e308, (3 + t) j overflows a double and the grid lies far below subnormals
+    for t in (1e9, 1e308):
+        assert finite_moment_x1(4, 16).evaluate_extended(t) == 8 / 3
+        assert finite_moment_x1(3, 16).evaluate_extended(t) == 0.0  # below every double
+
+
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_second_moment_closed_form(t):
     for n in (4, 16, 64):
@@ -434,6 +442,16 @@ def test_series_leading_coefficients():
             expect = Fraction((-1) ** ell * 2**j, 2**ell * math.factorial(ell))
             assert sc.leading_coefficient(ell) == expect
             assert len(sc.u[ell]) == 2 * ell + 1  # degree exactly 2 ell
+
+
+def test_series_coefficients_pinned():
+    # from t0(h) N^j = 2^j prod_(i<h) (1 + (i-1)/N) / prod_(i<h+j) (1 + 2i/N), expanded
+    # in 1/N by hand: the 1/N term is 2^j (sum_(i<h) (i-1) - sum_(i<h+j) 2i)
+    for j in range(4):
+        u1 = (-j * (j - 1), -Fraction(4 * j + 1, 2), -Fraction(1, 2))
+        assert t0_series(j, 1).u[1] == tuple(2**j * c for c in u1)
+    u2 = (0, Fraction(-3, 4), Fraction(-1, 8), Fraction(3, 4), Fraction(1, 8))
+    assert t0_series(0, 2).u[2] == u2
 
 
 def test_series_satisfies_t0_recurrence_orderwise():

@@ -80,22 +80,8 @@ def test_vector_round_trip():
 
 
 # ----------------------------------------------------------------------
-# evaluation and shift
+# first-variable shift
 # ----------------------------------------------------------------------
-
-
-def test_eval_examples():
-    p = Polynomial(1, {(2,): Fraction(1), (0,): Fraction(-1)})  # x^2 - 1
-    assert p.eval([3]) == 8
-    x1 = Polynomial.variable(1, 0)
-    assert x1.eval([math.sqrt(4)]) == 2
-    q = Polynomial(2, {(0, 2): Fraction(1)})
-    assert q.eval([0, 0]) == 0
-
-
-def test_eval_length_mismatch():
-    with pytest.raises(ValueError):
-        Polynomial.variable(2, 0).eval([1.0])
 
 
 def test_shift_single_variable():

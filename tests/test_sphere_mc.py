@@ -184,6 +184,11 @@ def test_config_validation():
         make_mc(t=0.5, h=0.7)
     with pytest.raises(ValueError):
         make_mc(paths=0)
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be finite"):
+            SphereConfig(N=6, t=t, k=2, ell=4)
+    with pytest.raises(ValueError, match="exceeds the double range"):
+        make_mc(t=1e308, h=1e-3)  # t / h overflows to inf
     with pytest.raises(ValueError):
         McEstimate(mean=0.0, stderr=-1.0, n_paths=10)
     with pytest.raises(ValueError):
