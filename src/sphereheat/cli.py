@@ -51,7 +51,7 @@ CSV_HEADER = [
     "monomial", "N", "t", "route", "value", "limit", "abs_error", "stderr", "fitted_rate",
 ]
 ALL_ROUTES = ("matexp", "series", "eigen", "mc")
-DEFAULT_ROUTES = {"moment": ("eigen",), "study": ALL_ROUTES[:3]}
+DEFAULT_ROUTES = ("eigen",)  # of moment and study: the exact route
 
 
 def _fmt(x: float) -> str:
@@ -236,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     command = functools.partial(sub.add_parser, allow_abbrev=False)
-    def grid_flags(p, routes=None):  # routes: the default; None for one-cell commands
-        one_cell = routes is None
+    def grid_flags(p, one_cell=False):  # one_cell: one cell on fixed routes, as mc
         p.add_argument("--monomial", type=_parse_monomial, action="append",
                        help="comma-separated exponents, e.g. 2,0"
                             + ("" if one_cell else " (repeatable)"))
@@ -245,22 +244,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=_parse_int_list, help=f"sphere parameter N, {values}")
         p.add_argument("--t", type=_parse_float_list, help=f"time t, {values}")
         if not one_cell:
-            p.add_argument("--routes", type=lambda s: s.split(","),
-                           help=f"subset of {','.join(ALL_ROUTES)} (default: {','.join(routes)})")
+            p.add_argument("--routes", type=lambda s: s.split(","), help=f"subset of "
+                           f"{','.join(ALL_ROUTES)} (default: {','.join(DEFAULT_ROUTES)})")
         p.add_argument("--paths", type=int, help="Monte Carlo path count" + mc_only)
         p.add_argument("--step", type=float, help="Monte Carlo time step" + mc_only)
         p.add_argument("--seed", type=int, help="Monte Carlo random seed" + mc_only)
 
-    grid_flags(command("moment", help="one moment at one configuration"), DEFAULT_ROUTES["moment"])
+    grid_flags(command("moment", help="one moment at one configuration"))
     p_study = command("study", help="convergence study over a grid")
-    grid_flags(p_study, DEFAULT_ROUTES["study"])
+    grid_flags(p_study)
     p_study.add_argument("--out", help="output CSV path")
 
     p_verify = command("verify", help="run invariant suites")
     p_verify.add_argument("suite", nargs="?", default="all",
                           choices=verify_mod.SUITES + ("all",))
 
-    grid_flags(command("mc", help="Monte Carlo estimate with reference value"))
+    grid_flags(command("mc", help="Monte Carlo estimate with reference value"), one_cell=True)
 
     p_pde = command("pde", help="checks of the 1-D parabolic factors")
     p_pde.add_argument("--t", type=_parse_float_list, help="time value(s)")
@@ -281,7 +280,7 @@ def _make_spec(args, **defaults) -> StudySpec:
 
 
 def cmd_moment(args) -> int:
-    spec = _make_spec(args, routes=list(DEFAULT_ROUTES["moment"]))
+    spec = _make_spec(args, routes=list(DEFAULT_ROUTES))
     rows = run_study(spec)
     for r in rows:
         if r.value is None:
@@ -296,7 +295,7 @@ def cmd_moment(args) -> int:
 
 
 def cmd_study(args) -> int:
-    spec = _make_spec(args, routes=list(DEFAULT_ROUTES["study"]))
+    spec = _make_spec(args, routes=list(DEFAULT_ROUTES))
     rows = run_study(spec)
     if spec.out:
         with open(spec.out, "w", encoding="utf-8", newline="") as fh:

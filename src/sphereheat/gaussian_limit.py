@@ -126,15 +126,13 @@ def standard_gaussian_moment(alpha: Sequence[int]) -> float:
     return float(out)
 
 
-def classical_limit_check(alpha: Sequence[int], t_large: float = 30.0) -> float:
-    """Distance of the limit moment at large t from the standard Gaussian one.
+def classical_limit_check(alpha: Sequence[int]) -> float:
+    """Distance of the limit moment at t = 30 from the standard Gaussian one.
 
     Both variances tend to one as t grows, recovering the classical uniform
     sphere limit; the returned value is the absolute deviation.
     """
-    if t_large < 20:
-        raise ValueError("t_large must be >= 20 for the large-time regime")
-    return abs(gaussian_moment(alpha, t_large) - standard_gaussian_moment(alpha))
+    return abs(gaussian_moment(alpha, 30.0) - standard_gaussian_moment(alpha))
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,10 @@ the reduction of :mod:`sphereheat.eigenmethod` turns f into exact parts
 g_i of the shifted first coordinate y1 with E f = sum_i m^i E[g_i(y1)].
 The heat operator acts on y1^n through the one-variable part D of the
 sphere Laplacian, so the double routes work on the 1-D lattice of degrees
-D reaches from the parts, evaluated at sqrt(N):
-``series`` runs the truncated power series for all parts at once, with a
-proven tail bound in the 1-norm of D scaled by diag(1/n!) plus a rounding
-estimate, and ``matexp`` the scaling-and-squaring exponential :func:`expm`.
+D reaches from the parts, and evolve one row, pole exp((t/2) D) with pole
+the base point's sqrt(N)^n, dotted with every part: ``series`` sums its
+power series, stopped once for all parts by a proven tail bound in the
+1-norm of D scaled by diag(1/n!), and ``matexp`` uses :func:`expm`.
 With ``precision="extended"`` the moment is instead the exact sum of the parts'
 eigen expansions from :mod:`sphereheat.eigenmethod`, a polynomial in the
 drift m: sum w m^j exp(-c t/N) with rational w.  What does not depend
@@ -50,11 +50,12 @@ class SeriesToleranceError(RuntimeError):
 class MomentResult:
     """A heat-kernel moment with provenance.
 
-    ``error_bound`` is a proven tail bound, in D's 1-norm scaled by diag(1/n!),
-    plus a rounding estimate for the series route, a machine-precision estimate
-    for matexp, and a standard error for Monte Carlo.  With extended precision
-    the value is the double nearest the exact moment and the bound half its ulp,
-    rounded up to the smallest positive double (0 only for an identically 0 moment).
+    ``error_bound`` sums over the parts a proven tail bound (D's 1-norm scaled by
+    diag(1/n!)) plus a rounding estimate for series, and 1e-13 sqrt(N)^deg times
+    the column sums of |exp((t/2) D)| against |b_i| for matexp; it is a standard
+    error for Monte Carlo.  With extended precision the value is the double
+    nearest the exact moment and the bound half its ulp, rounded up to the
+    smallest positive double (0 only for an identically 0 moment).
     """
 
     value: float
@@ -68,78 +69,53 @@ class MomentResult:
             raise ValueError("error_bound must be nonnegative")
 
 
-def _series_stops(half_t: float, norm: float, fnorms: tuple[float, ...], tols: list[float],
-                  max_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's first n >= 1 with fnorm tail(a, n) <= tol, a = half_t norm, and
-    that bound (0 and 0 for a zero column or a = 0), from one upward scan.
+def _series_stop(half_t: float, norm: float, ratio: float, max_terms: int = 20000) -> tuple:
+    """The first n >= 1 with tail(a, n) <= ratio, a = half_t norm, and that tail
+    (0 and 0 when a = 0), from one upward scan.
 
     tail(a, n) = a^(n+1)/(n+1)! / (1 - a/(n+2)) majorizes sum_{i>n} a^i/i! once
     n + 2 > a.  In floating point a is rounded up, the lead a^(n+1)/(n+1)! kept as
-    mantissa and power of two, and 1 + 4 (n + 4) u covers the 2n + 5 roundings of
-    fnorm tail(a, n).  Columns are tried by decreasing tol/fnorm (raised by 4u)
-    while that admits the lead, so most terms cost one comparison.
+    mantissa and power of two, and 1 + 4 (n + 4) u covers the 2n + 6 roundings of
+    tail(a, n) and of its product with two bounds.
     """
     a = half_t * norm * (1 + 4 * _U)
-    stops, tails = np.zeros(len(fnorms), dtype=int), np.zeros(len(fnorms))
-    ratio = {j: tols[j] / fn * (1 + 4 * _U) for j, fn in enumerate(fnorms) if fn and a}
-    todo = sorted(ratio, key=ratio.get, reverse=True)
-    mant, exp2, n = *math.frexp(a), 0  # the lead at n = 0: a
-    while todo:
-        n += 1
-        if n > max_terms:
-            raise SeriesToleranceError(f"series did not reach tol={tols[todo[0]]} in {max_terms}"
-                                       f" terms at scaled operator 1-norm {norm:.6g}")
+    if not a:
+        return 0, 0.0
+    mant, exp2 = math.frexp(a)  # the lead at n = 0: a
+    for n in range(1, max_terms + 1):
         mant, e = math.frexp(mant * (a / (n + 1)))
         exp2 += e
         if n + 2 > a:
             lead = mant * (n + 2) / (n + 2 - a) * (1 + 4 * (n + 4) * _U)
-            for j in todo[:]:
-                if math.ldexp(lead, exp2) > ratio[j]:
-                    break
-                bound = math.ldexp(fnorms[j] * lead, exp2)
-                if bound <= tols[j]:
-                    stops[j], tails[j] = n, bound
-                    todo.remove(j)
-    return stops, tails
+            tail = math.ldexp(lead, exp2) + math.ulp(0.0)  # ulp(0) covers a subnormal
+            if tail <= ratio:
+                return n, tail
+    raise SeriesToleranceError(f"series did not reach tail {ratio:.3g} in {max_terms}"
+                               f" terms at scaled operator 1-norm {norm:.6g}")
 
 
-def _series_evolve(mat: np.ndarray, norm: float, fnorms: tuple[float, ...], t: float,
-                   block: np.ndarray, tols: list[float], max_terms: int = 20000) -> tuple:
-    """Series sums of exp((t/2) mat) on each column b of ``block``, to its own tolerance.
-
-    For a diagonal S with entries in (0, 1], ``norm`` bounds the 1-norm of S^-1 mat S
-    and ``fnorms`` bound the ||S^-1 b||_1, so the remainder after term n, S times that of
-    S^-1 mat S on S^-1 b, is at most fnorm tail(t/2 norm, n) in 1-norm (C. Moler
-    and C. Van Loan, SIAM Rev. 45, 2003).  Each column stops at the first term
-    whose bound meets its tolerance; one ``mat @ block`` recursion runs to the
-    latest stop.  Returns the sums, each column's bound, and sum_n |term_n| (from
-    n = 0) for rounding estimates.  A zero column, or t = 0, takes no term.
+def _series_evolve(mat: np.ndarray, t: float, row: np.ndarray, stop: int) -> tuple:
+    """The series of row exp((t/2) mat) through term ``stop``, and sum_n |term_n|
+    (from n = 0) for rounding estimates.
 
     Terms are written in chunks below a row that holds the running sum, and
     each chunk is folded into it by ``np.add.accumulate``, which adds in term
     order: the sums are those of a term-by-term loop, bit for bit.
     """
     half_t = 0.5 * t
-    stops, tails = _series_stops(half_t, norm, fnorms, tols, max_terms)
-    term = np.where(stops > 0, block, 0.0)
-    terms = np.empty((_CHUNK + 1,) + block.shape)  # row 0: the running sum
+    terms = np.empty((_CHUNK + 1, len(row)))  # row 0: the running sum
     abs_terms = np.empty_like(terms)
-    terms[0], abs_terms[0] = block, np.abs(block)
-    ends = set(stops.tolist())
-    last = max(ends, default=0)
-    for first in range(1, last + 1, _CHUNK):
-        rows = min(_CHUNK, last + 1 - first)
+    terms[0], abs_terms[0] = row, np.abs(row)
+    term = row
+    for first in range(1, stop + 1, _CHUNK):
+        rows = min(_CHUNK, stop + 1 - first)
         for j, n in enumerate(range(first, first + rows), 1):
-            term = np.matmul(mat, term, out=terms[j])
+            term = np.matmul(term, mat, out=terms[j])
             term *= half_t / n
-            if n in ends:  # a stopped column feeds zeros on, but this term still counts
-                term = term.copy()
-                term[:, stops == n] = 0.0
         np.abs(terms[1:rows + 1], out=abs_terms[1:rows + 1])
         terms[0] = np.add.accumulate(terms[:rows + 1])[-1]
         abs_terms[0] = np.add.accumulate(abs_terms[:rows + 1])[-1]
-    # column-major like the parts block: the layout fixes how BLAS sums pole @ abs_sums
-    return terms[0].copy(), tails, np.asfortranarray(abs_terms[0])
+    return terms[0].copy(), abs_terms[0].copy()
 
 
 # Pade [13/13] coefficients b_0..b_13, and the 1-norm up to which the approximant
@@ -223,9 +199,10 @@ def _prepare(N: int, parts: tuple) -> tuple:
     The lattice is every degree D reaches from the parts (n, n - 2, ... >= 0),
     lowest first, and D y1^n = lambda_n y1^n + n (n - 1) y1^(n-2).  Returns D as
     a float matrix; the 1-norm of S^-1 D S, S = diag(1/n!) (D's diagonal and the
-    superdiagonal 1), rounded up from its exact value; sqrt(N)^n; the block of the
-    parts (columns b); and upper bounds on their ||S^-1 b||_1 (inf past degree 170).
-    Memoized per (parts, N), so its arrays are read-only.
+    superdiagonal 1), rounded up from its exact value; upper bounds on the parts'
+    ||S^-1 b||_1 (inf past degree 170); the base-point row sqrt(N)^n; and the
+    block of the parts (columns b).  Memoized per (parts, N), so its arrays are
+    read-only.
     """
     degrees = sorted({d for g in parts for n, _ in g for d in range(n % 2, n + 1, 2)})
     index = {n: i for i, n in enumerate(degrees)}
@@ -239,7 +216,7 @@ def _prepare(N: int, parts: tuple) -> tuple:
     norm = float(exact) if float(exact) >= exact else math.nextafter(float(exact), math.inf)
     # the working-precision sqrt(N), never one rebuilt through the drift m
     pole = np.array([math.sqrt(N) ** n for n in degrees])
-    block = np.zeros((len(index), len(parts)), order="F")
+    block = np.zeros((len(index), len(parts)))
     for i, g in enumerate(parts):
         for n, coeff in g:
             block[index[n], i] = coeff
@@ -261,11 +238,13 @@ def heat_moment(
 
     Pipeline: reduce f to one-variable parts g_i(y1) of the shifted first
     coordinate, E f = sum_i m^i E[g_i(y1)] (the rotation reduction
-    :func:`sphereheat.eigenmethod._first_coordinate_parts`), then evolve each
-    part by exp((t/2) D) on the 1-D lattice of degrees D reaches, evaluate at
-    sqrt(N), and recombine with compensated summation;
-    with ``precision="extended"``, sum the parts' eigen expansions exactly
-    instead.  The bounds and the series tolerance scale with sqrt(N)^deg f,
+    :func:`sphereheat.eigenmethod._first_coordinate_parts`), then evolve the row
+    u = pole exp((t/2) D) on the 1-D lattice of degrees D reaches, and recombine
+    the parts' compensated sums u b_i; with ``precision="extended"``, sum the
+    parts' eigen expansions exactly instead.  The series remainder R_n after
+    term n has |pole R_n b| <= ||pole S||_inf tail(a, n) ||S^-1 b||_1 for S =
+    diag(1/n!) (C. Moler and C. Van Loan, SIAM Rev. 45, 2003): one stop serves
+    every part.  The bounds and the series tolerance scale with sqrt(N)^deg f,
     the largest value a lattice monomial takes at the base point, so no
     result depends on ``cfg.ell``.  A moment whose parts all vanish (the zero
     polynomial, an odd power of a coordinate beyond the first) is 0 with
@@ -297,22 +276,23 @@ def heat_moment(
         raise ValueError(f"sqrt(N)^{f.degree()} at N={cfg.N} exceeds the double range; "
                          "use the exact eigen route") from None
     mat, norm, fnorms, pole, block = _prepare(cfg.N, parts)
-    p, m = block.shape[1], cfg.m
+    m, abs_block = cfg.m, np.abs(block)
     with np.errstate(over="ignore", invalid="ignore"):  # the refusal below names an overflow
         if route == "matexp":
             exp_mat = expm(0.5 * cfg.t * mat)
-            evolved = [exp_mat @ block[:, i] for i in range(p)]
-            part_bounds = [1e-13 * float(np.sum(np.abs(v))) * scale_out for v in evolved]
+            row = pole @ exp_mat
+            part_bounds = 1e-13 * scale_out * (np.abs(exp_mat).sum(axis=0) @ abs_block)
         else:
-            # Shrink the inner tolerance so the proven truncation bound still
-            # meets _SERIES_TOL after the pole evaluation and drift powers.
-            tols = [_SERIES_TOL / (p * scale_out * max(1.0, m) ** i) for i in range(p)]
-            sums, tails, abs_sums = _series_evolve(mat, norm, fnorms, cfg.t, block, tols)
-            evolved = sums.T
-            # rounding estimate: u (d + 2) times the pole-weighted sum of |term_n|
-            part_bounds = tails * scale_out + _U * (len(pole) + 2) * (pole @ abs_sums)
+            # one stop for all parts; an infinite weight gives an infinite bound, refused
+            weight = scale_out * sum(max(1.0, m) ** i * fn for i, fn in enumerate(fnorms))
+            ratio = _SERIES_TOL / weight if weight else math.inf  # 0: parts round to 0
+            stop, tail = _series_stop(0.5 * cfg.t, norm, ratio) if ratio else (0, math.inf)
+            row, abs_sums = _series_evolve(mat, cfg.t, pole, stop)
+            # rounding estimate: u (d + 2) times sum_n |term_n| against |b_i|
+            part_bounds = (tail * scale_out * np.array(fnorms)
+                           + _U * (len(pole) + 2) * (abs_sums @ abs_block))
         try:
-            value = math.fsum(m**i * math.fsum(v * pole) for i, v in enumerate(evolved))
+            value = math.fsum(m**i * math.fsum(row * b) for i, b in enumerate(block.T))
             bound = math.fsum(m**i * b for i, b in enumerate(part_bounds))
         except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
             value = bound = math.nan

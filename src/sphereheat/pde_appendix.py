@@ -27,6 +27,8 @@ import numpy as np
 
 from .gaussian_limit import var_first, var_rest
 
+_FREQ_POINTS = 2048  # trapezoid nodes of spectral_evolve's frequency window
+
 
 class GridAccuracyError(RuntimeError):
     """The requested spectral grid cannot reach the target accuracy."""
@@ -121,7 +123,6 @@ def spectral_evolve(
     eps: float,
     t: float,
     grid: np.ndarray,
-    freq_points: int = 2048,
 ) -> np.ndarray:
     """Evolve a variance-eps Gaussian mollification of the delta data.
 
@@ -141,7 +142,7 @@ def spectral_evolve(
 
     # frequency window: 14 standard deviations of the transformed solution
     xi_max = 14.0 / sigma_out
-    xi = np.linspace(0.0, xi_max, freq_points)
+    xi = np.linspace(0.0, xi_max, _FREQ_POINTS)
     dxi = xi[1] - xi[0]
     # aliasing period of the trapezoid rule must clear the physical window
     if 2.0 * math.pi / dxi < 2.0 * (np.max(np.abs(grid)) + 10.0 * sigma_out):
@@ -153,7 +154,7 @@ def spectral_evolve(
     )
     evolved_hat = characteristic_transport(variant, xi, t, initial_hat)
     # inverse transform of an even function: cosine sum over xi >= 0
-    weights = np.full(freq_points, dxi)
+    weights = np.full(_FREQ_POINTS, dxi)
     weights[0] = 0.5 * dxi
     weights[-1] = 0.5 * dxi
     cos_table = np.cos(np.outer(grid, xi))

@@ -70,10 +70,6 @@ class Polynomial:
         return cls(varcount)
 
     @classmethod
-    def constant(cls, varcount: int, value) -> "Polynomial":
-        return cls(varcount, {(0,) * varcount: value})
-
-    @classmethod
     def variable(cls, varcount: int, index: int) -> "Polynomial":
         """The polynomial x_index (0-based index)."""
         if not 0 <= index < varcount:
@@ -288,11 +284,6 @@ class BasisIndexer:
 
     def __len__(self) -> int:
         return len(self._monomials)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BasisIndexer):
-            return NotImplemented
-        return (self.varcount, self.max_degree) == (other.varcount, other.max_degree)
 
     def __repr__(self) -> str:
         return f"BasisIndexer(varcount={self.varcount}, max_degree={self.max_degree})"

@@ -346,6 +346,6 @@ def test_criterion_11_classical_limit():
     worst = 0.0
     for k in (1, 2, 3):
         for alpha in _all_alphas(k, 6):
-            worst = max(worst, classical_limit_check(alpha, 30.0))
+            worst = max(worst, classical_limit_check(alpha))
     report(11, worst <= 1e-7,
            f"max deviation from standard Gaussian moments {worst:.1e} at t=30")

@@ -231,6 +231,14 @@ def test_study_command_writes_file(tmp_path, capsys):
     assert len(text.splitlines()) == 3
 
 
+def test_study_defaults_to_the_exact_route(tmp_path):
+    out = tmp_path / "rows.csv"
+    assert main(["study", "--monomial", "4", "--N", "16,64", "--t", "0.5,1",
+                 "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert len(rows) == 4 and {row[3] for row in rows} == {"eigen"}
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("N=8,16\nt=1\nroutes=matexp\nmonomial=2,0\n# comment\n")
@@ -517,7 +525,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert heavy() == [], heavy()
 assert cli.main(["moment", "--monomial", "4", "--N", "16"]) == 0
 assert "scipy" not in sys.modules
-assert cli.main(["study", "--monomial", "4", "--N", "16,64", "--t", "1"]) == 0
+assert cli.main(["study", "--monomial", "4", "--N", "16,64", "--t", "1",
+                 "--routes", "matexp,series,eigen"]) == 0
 assert "scipy" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify"]) == 0
@@ -527,7 +536,8 @@ assert "scipy" not in sys.modules
                           env=dict(os.environ, SPHEREHEAT_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
     assert main(["moment", "--monomial", "4", "--N", "16"]) == 0
-    assert main(["study", "--monomial", "4", "--N", "16,64", "--t", "1"]) == 0
+    assert main(["study", "--monomial", "4", "--N", "16,64", "--t", "1",
+                 "--routes", "matexp,series,eigen"]) == 0
     assert proc.stdout == capsys.readouterr().out
 
 

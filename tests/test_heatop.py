@@ -29,7 +29,7 @@ from sphereheat.heatop import (
     _first_coordinate_parts,
     _prepare,
     _series_evolve,
-    _series_stops,
+    _series_stop,
     expm,
     heat_apply_matexp,
     heat_moment,
@@ -62,63 +62,67 @@ def x1sq_closed_form(n: int, t: float) -> float:
 
 @pytest.fixture
 def series_scans(monkeypatch):
-    """The (stops, tails) of every _series_stops call made while the test runs."""
+    """The (stop, tail) of every _series_stop call made while the test runs."""
     scans = []
-    monkeypatch.setattr(heatop, "_series_stops",
-                        lambda *args: scans.append(_series_stops(*args)) or scans[-1])
+    monkeypatch.setattr(heatop, "_series_stop",
+                        lambda *args: scans.append(_series_stop(*args)) or scans[-1])
     return scans
 
 
-def plain_series(mat, t, block, tols, max_terms=20000):
-    """_series_evolve unscaled (S = I), with the float 1-norm of ``mat``."""
-    return _series_evolve(mat, float(np.max(np.sum(np.abs(mat), axis=0))),
-                          tuple(np.sum(np.abs(block), axis=0)), t, block, tols, max_terms)
+def plain_series(mat, t, row, tol, max_terms=20000):
+    """_series_evolve unscaled (S = I): stopped at the first n with
+    ||row||_inf tail(t/2 ||mat||_1, n) <= tol, a bound on ||row R_n||_inf.
+    Returns the sum, sum_n |term_n| and that bound."""
+    scale = float(np.max(np.abs(row)))
+    stop, tail = _series_stop(0.5 * t, float(np.max(np.sum(np.abs(mat), axis=0))),
+                              tol / scale if scale else math.inf, max_terms)
+    return (*_series_evolve(mat, t, row, stop), scale * tail)
 
 
-def dense_series(op, t, block, tols, max_terms=20000):
-    """_series_evolve on a builder's dense float matrix, unscaled."""
-    return plain_series(op.to_float(), t, block, tols, max_terms)
+def dense_series(op, t, row, tol, max_terms=20000):
+    """plain_series on a builder's dense float matrix."""
+    return plain_series(op.to_float(), t, row, tol, max_terms)
 
 
 def test_series_identity_at_zero_time():
     d_op = build_D(6, 4)
-    f = np.array([[0.0], [-3.0], [0.0], [0.0], [2.0]])  # 2 x^4 - 3 x
-    sums, tails, _ = dense_series(d_op, 0.0, f, [1e-12])
-    assert np.array_equal(sums, f) and not tails.any()
+    f = np.array([0.0, -3.0, 0.0, 0.0, 2.0])  # 2 x^4 - 3 x
+    sums, _, bound = dense_series(d_op, 0.0, f, 1e-12)
+    assert np.array_equal(sums, f) and bound == 0.0
 
 
-def test_series_on_eigenvector_of_d():
+def test_series_on_left_eigenvector_of_d():
+    # the coefficient of the top degree: D adds x^3 only to x^3, times lambda_3
     n, t = 9, 0.7
     d_op = build_D(n, 3)
-    x = np.eye(d_op.dimension)[:, [d_op.indexer.index((1,))]]
-    sums, _, _ = dense_series(d_op, t, x, [1e-14])
-    expect = math.exp(0.5 * t * (-1.0 + 1.0 / n))
-    assert sums[d_op.indexer.index((1,)), 0] == pytest.approx(expect, abs=1e-13)
+    top = np.eye(d_op.dimension)[d_op.indexer.index((3,))]
+    sums, _, _ = dense_series(d_op, t, top, 1e-14)
+    assert np.allclose(sums, math.exp(0.5 * t * -3.0 * (1.0 + 1.0 / n)) * top, rtol=0, atol=1e-13)
 
 
 def test_series_constant_is_fixed():
     cfg = SphereConfig(N=8, t=1.3, k=2, ell=3)
-    one = Polynomial.constant(2, Fraction(1))
+    one = Polynomial.monomial((0, 0), Fraction(1))
     assert heat_moment(cfg, one, route="series").value == 1.0
+    # exp((t/2) L) 1 = 1: every unit row takes exactly its own value on the constant
     lap = build_sphere_laplacian(cfg)
-    sums, _, _ = dense_series(lap, cfg.t, np.eye(lap.dimension)[:, [0]], [1e-12])
-    assert np.array_equal(sums[:, 0], np.eye(lap.dimension)[0])
+    unit = np.eye(lap.dimension)
+    sums = np.array([dense_series(lap, cfg.t, e, 1e-12)[0] for e in unit])
+    assert np.array_equal(sums[:, 0], unit[0])
 
 
 def test_series_unreachable_tolerance_raises():
     d_op = build_D(4, 8)
-    x8 = np.eye(d_op.dimension)[:, [d_op.indexer.index((8,))]]
+    x8 = np.eye(d_op.dimension)[d_op.indexer.index((8,))]
     with pytest.raises(SeriesToleranceError):
-        dense_series(d_op, 2.0, x8, [1e-12], max_terms=3)
-    # in a block, one column out of reach fails the whole call
-    block = np.array([[1.0, 1.0], [0.0, 2.0]])
-    mat = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        dense_series(d_op, 2.0, x8, 1e-12, max_terms=3)
     with pytest.raises(SeriesToleranceError, match="scaled operator 1-norm 2.5"):
-        _series_evolve(mat, 2.5, (1.0, 3.0), 1.0, block, [1e-2, 1e-15], max_terms=5)
-    # past degree 170, ||S^-1 b||_1 = sum n! |b_n| exceeds every double
+        _series_stop(0.5, 2.5, 1e-15, max_terms=5)
+    # past degree 170, ||S^-1 b||_1 = sum n! |b_n| exceeds every double: no tail
+    # meets the tolerance, and the infinite bound is refused
     cfg = SphereConfig(N=5, t=1e-3, k=1, ell=172)
     assert math.isfinite(heat_moment_monomial(cfg, (172,)).value)
-    with pytest.raises(SeriesToleranceError):
+    with pytest.raises(ValueError, match="not finite"):
         heat_moment_monomial(cfg, (172,), route="series")
 
 
@@ -135,67 +139,51 @@ def tail_40_digits(a, n):
 @pytest.mark.parametrize("fnorm", [1e-3, 1.0, 1e6])
 @pytest.mark.parametrize("tol", [1e-16, 1e-12, 1e-6])
 def test_series_stop_equals_linear_scan(fnorm, tol):
-    # one scan stops each column at the first n whose bound meets its tolerance:
-    # checked against the 40-digit majorant, up to the scan's rounding margin, on
-    # a block of every (fnorm, tol) pair led by this one
-    cols = [(f, t) for f in (1e-3, 1.0, 1e6) for t in (1e-16, 1e-12, 1e-6)]
-    cols.sort(key=lambda c: c != (fnorm, tol))
-    fnorms, tols = [c[0] for c in cols], [c[1] for c in cols]
+    # the scan stops at the first n whose tail meets tol / fnorm: checked against
+    # the 40-digit majorant, up to the scan's rounding margin
+    ratio = tol / fnorm
     for a in np.geomspace(1e-3, 500.0, 40):
-        stops, tails = _series_stops(0.5, 2.0 * a, fnorms, tols, 20000)
-        for (f, t), n, tail in zip(cols, stops, tails):
-            exact = f * tail_40_digits(a, n)
-            assert exact <= tail <= t and tail <= exact * (1 + 1e-9), (a, f, t)
-            assert f * tail_40_digits(a, n - 1) > t / (1 + 1e-9) or n == 1, (a, f, t)
+        n, tail = _series_stop(0.5, 2.0 * a, ratio)
+        exact = tail_40_digits(a, n)
+        assert exact <= tail <= ratio and tail <= exact * (1 + 1e-9), (a, ratio)
+        assert tail_40_digits(a, n - 1) > ratio / (1 + 1e-9) or n == 1, (a, ratio)
+    assert _series_stop(0.0, 3.0, ratio) == (0, 0.0)
 
 
-def test_series_block_zero_time_and_zero_columns():
+def test_series_row_at_zero_time_and_zero_row():
     rng = np.random.default_rng(5)
-    mat = rng.normal(size=(6, 6))
-    block = rng.normal(size=(6, 3))
-    block[:, 1] = 0.0
-    sums, tails, abs_sums = plain_series(mat, 0.0, block, [1e-12] * 3)
-    assert np.array_equal(sums, block) and not tails.any()
-    assert np.array_equal(abs_sums, np.abs(block))
-    tols = [1e-13, 1e-13, 1e-6]
-    sums, tails, abs_sums = plain_series(mat, 0.8, block, tols)
-    assert not sums[:, 1].any() and tails[1] == 0.0 and not abs_sums[:, 1].any()
-    # every column is the sum it has alone, stopped at its own index
-    for j in (0, 2):
-        alone, tail, _ = plain_series(mat, 0.8, block[:, [j]], [tols[j]])
-        assert tails[j] == tail[0] <= tols[j]
-        assert np.allclose(sums[:, j], alone[:, 0], rtol=0, atol=1e-14 * abs_sums[:, j].max())
+    mat, row = rng.normal(size=(6, 6)), rng.normal(size=6)
+    sums, abs_sums, bound = plain_series(mat, 0.0, row, 1e-12)
+    assert np.array_equal(sums, row) and np.array_equal(abs_sums, np.abs(row)) and bound == 0.0
+    sums, abs_sums = _series_evolve(mat, 0.8, np.zeros(6), 40)
+    assert not sums.any() and not abs_sums.any()
 
 
-def term_by_term(mat, t, block, stops):
-    """The series recursion one term at a time: the sums and sum_n |term_n|."""
-    term = np.where(stops > 0, block, 0.0)
-    total, abs_total = block.astype(float), np.abs(block)
-    for n in range(1, max(stops) + 1):
-        term = mat @ term
+def term_by_term(mat, t, row, stop):
+    """The series recursion one term at a time: the sum and sum_n |term_n|."""
+    term = row.astype(float)
+    total, abs_total = term.copy(), np.abs(term)
+    for n in range(1, stop + 1):
+        term = term @ mat
         term *= 0.5 * t / n
         total += term
         abs_total += np.abs(term)
-        term[:, stops == n] = 0.0
     return total, abs_total
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (20, 13)])
+@pytest.mark.parametrize("size", [1, 20])
 @pytest.mark.parametrize("a", [2.5, 60.0])
-def test_chunked_series_equals_term_by_term_loop(shape, a, series_scans):
-    # stops on both sides of the 64-term chunk boundaries, mixed within one block
+def test_chunked_series_equals_term_by_term_loop(size, a):
+    # stops on both sides of the 64-term chunk boundaries
     rng = np.random.default_rng(11)
-    mat, block = rng.normal(size=(shape[0],) * 2), rng.normal(size=shape)
-    t = 2.0 * a / float(np.max(np.sum(np.abs(mat), axis=0)))
-    wanted = [n for n in (1, 63, 64, 65, 128, 130) if a < n + 2]
-    fnorms = np.sum(np.abs(block), axis=0)
-    for offset in range(len(wanted)):
-        stops = np.array([wanted[(offset + j) % len(wanted)] for j in range(shape[1])])
+    mat, row = rng.normal(size=(size, size)), rng.normal(size=size)
+    norm = float(np.max(np.sum(np.abs(mat), axis=0)))
+    t = 2.0 * a / norm
+    for stop in (n for n in (1, 63, 64, 65, 128, 130) if a < n + 2):
         # 1e-9 above the majorant at the wanted stop, far below it one term earlier
-        tols = [float(fn * tail_40_digits(a, n)) * (1 + 1e-9) for fn, n in zip(fnorms, stops)]
-        sums, tails, abs_sums = plain_series(mat, t, block, tols)
-        ref, abs_ref = term_by_term(mat, t, block, stops)
-        assert np.array_equal(series_scans[-1][0], stops)  # each column stopped where meant to
+        assert _series_stop(0.5 * t, norm, float(tail_40_digits(a, stop)) * (1 + 1e-9))[0] == stop
+        sums, abs_sums = _series_evolve(mat, t, row, stop)
+        ref, abs_ref = term_by_term(mat, t, row, stop)
         assert sums.tobytes() == ref.tobytes() and abs_sums.tobytes() == abs_ref.tobytes()
 
 
@@ -243,23 +231,25 @@ def lattice_cases(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(lattice_cases())
-def test_series_columns_are_within_tail_plus_rounding(case):
-    # each column: ||series - exp((t/2) D) b||_1 <= tail + u (d + 2) sum_n |term_n|_1,
-    # the reference independent of the series and of heatop's float matrix
+def test_series_parts_are_within_tail_plus_rounding(case):
+    # each part: |pole series b - pole exp((t/2) D) b| <= ||pole||_inf tail ||S^-1 b||_1
+    # + u (d + 2) sum_n |pole term_n| |b|, the reference independent of the series
+    # and of heatop's float matrix
     N, k, alpha, t, rel_tol = case
     parts = _first_coordinate_parts(N, k, ((alpha, Fraction(1)),))
     if not any(parts):
         return
-    mat, norm, fnorms, _, block = _prepare(N, parts)
+    mat, norm, fnorms, pole, block = _prepare(N, parts)
     degrees = sorted({d for g in parts for n, _ in g for d in range(n % 2, n + 1, 2)})
-    tols = (rel_tol * np.sum(np.abs(block), axis=0)).tolist()
-    sums, tails, abs_sums = _series_evolve(mat, norm, fnorms, t, block, tols)
+    stop, tail = _series_stop(0.5 * t, norm, rel_tol)
+    row, abs_row = _series_evolve(mat, t, pole, stop)
     ref = exp_times_block_60_digits(N, degrees, block, t)
     with mpmath.workdps(60):
         for i, column in enumerate(ref):
-            error = mpmath.fsum(abs(mpmath.mpf(float(x)) - r) for x, r in zip(sums[:, i], column))
-            rounding = 2.0**-53 * (len(degrees) + 2) * float(abs_sums[:, i].sum())
-            assert error <= tails[i] + rounding, (case, i)
+            exact = mpmath.fsum(mpmath.mpf(float(p)) * r for p, r in zip(pole, column))
+            error = abs(mpmath.mpf(math.fsum(row * block[:, i])) - exact)
+            rounding = 2.0**-53 * (len(degrees) + 2) * float(abs_row @ np.abs(block[:, i]))
+            assert error <= float(np.max(pole)) * tail * fnorms[i] + rounding, (case, i)
 
 
 @pytest.mark.parametrize("n", [3, 16, 1024, 10**6])
@@ -310,21 +300,33 @@ def test_scaled_series_stop_keeps_every_study_value(monkeypatch, series_scans):
     scaled = [series(*cell) for cell in cells]
     monkeypatch.setattr(heatop, "_prepare", unscaled)
     assert [series(*cell) for cell in cells] == scaled
-    terms = [int(stops.max()) for stops, _ in series_scans]
+    terms = [stop for stop, _ in series_scans]
     assert len(terms) == 2 * 93 and 3 * sum(terms[:63]) <= sum(terms[93:156])
 
 
 def test_series_of_x1_to_the_12th_stops_within_100_terms(series_scans):
     # the plain 1-norm of D, 144.1, took 480 terms here; the scaled one is 13.1
     heat_moment_monomial(SphereConfig(N=1024, t=2.0, k=1, ell=12), (12,), route="series")
-    assert len(series_scans) == 1 and 0 < max(series_scans[0][0]) <= 100
+    assert len(series_scans) == 1 and 0 < series_scans[0][0] <= 100
+
+
+def test_series_moment_evolves_one_row_with_one_stop(monkeypatch, series_scans):
+    # thirteen parts m^i g_i(y1), one stop scan and one evolved row between them
+    cfg = SphereConfig(N=64, t=1.0, k=3, ell=12)
+    assert len(_first_coordinate_parts(64, 3, (((8, 2, 2), Fraction(1)),))) == 13
+    rows = []
+    monkeypatch.setattr(heatop, "_series_evolve",
+                        lambda *args: rows.append(args[2]) or _series_evolve(*args))
+    heat_moment_monomial(cfg, (8, 2, 2), route="series")
+    assert len(series_scans) == 1 and len(rows) == 1 and rows[0].ndim == 1
 
 
 def test_series_agrees_with_matexp_on_all_basis_monomials():
+    # each unit row evolved alone is that row of the exponential
     cfg = SphereConfig(N=10, t=1.0, k=2, ell=4)
     lap = build_sphere_laplacian(cfg)
     exp_mat = heat_apply_matexp(lap, cfg.t)
-    sums, _, _ = dense_series(lap, cfg.t, np.eye(lap.dimension), [1e-13] * lap.dimension)
+    sums = np.array([dense_series(lap, cfg.t, e, 1e-13)[0] for e in np.eye(lap.dimension)])
     assert float(np.max(np.abs(sums - exp_mat))) <= 1e-10
 
 
@@ -508,7 +510,7 @@ def test_normalization():
         for t in (0.5, 2.0):
             for k in (1, 3):
                 cfg = SphereConfig(N=n, t=t, k=k, ell=3)
-                one = Polynomial.constant(k, Fraction(1))
+                one = Polynomial.monomial((0,) * k, Fraction(1))
                 assert heat_moment(cfg, one).value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -796,6 +798,9 @@ def test_zero_polynomial_has_zero_moment_on_every_route(route, precision):
     cfg = SphereConfig(N=16, t=1.0, k=2, ell=2)
     res = heat_moment(cfg, Polynomial.zero(2), route=route, precision=precision)
     assert (res.value, res.error_bound, res.monomial) == (0.0, 0.0, None)
+    # a coefficient below the double range: parts that are all 0.0 as floats
+    tiny = Polynomial.monomial((2, 0), Fraction(1, 10**400))
+    assert heat_moment(cfg, tiny, route=route, precision=precision).value == 0.0
 
 
 def test_shared_memo_results_are_read_only():

@@ -173,9 +173,10 @@ def test_mass_conservation_along_evolution():
 
 
 def test_spectral_grid_too_coarse_raises():
-    grid = np.linspace(-5, 5, 11)
+    # at t = 1 the trapezoid rule's aliasing period clears |x| <= 350, not 400
+    spectral_evolve(OTHER_COORDINATE, 1e-3, 1.0, np.linspace(-350, 350, 11))
     with pytest.raises(GridAccuracyError):
-        spectral_evolve(OTHER_COORDINATE, 1e-3, 1.0, grid, freq_points=16)
+        spectral_evolve(OTHER_COORDINATE, 1e-3, 1.0, np.linspace(-400, 400, 11))
 
 
 def test_spectral_validation():
