@@ -91,7 +91,7 @@ def test_series_identity_at_zero_time():
     assert np.array_equal(sums, f) and bound == 0.0
 
 
-def test_series_on_left_eigenvector_of_d():
+def test_series_on_eigenvector_of_d():
     # the coefficient of the top degree: D adds x^3 only to x^3, times lambda_3
     n, t = 9, 0.7
     d_op = build_D(n, 3)
@@ -150,11 +150,17 @@ def test_series_stop_equals_linear_scan(fnorm, tol):
     assert _series_stop(0.0, 3.0, ratio) == (0, 0.0)
 
 
-def test_series_row_at_zero_time_and_zero_row():
+def test_series_block_zero_time_and_zero_columns():
+    # one evolved row against a block of parts: at t = 0 each part keeps its value,
+    # a zero column has value and rounding estimate 0, and a zero row stays zero
     rng = np.random.default_rng(5)
     mat, row = rng.normal(size=(6, 6)), rng.normal(size=6)
+    block = rng.normal(size=(6, 3))
+    block[:, 1] = 0.0
     sums, abs_sums, bound = plain_series(mat, 0.0, row, 1e-12)
     assert np.array_equal(sums, row) and np.array_equal(abs_sums, np.abs(row)) and bound == 0.0
+    sums, abs_sums, _ = plain_series(mat, 0.8, row, 1e-13)
+    assert math.fsum(sums * block[:, 1]) == 0.0 and abs_sums @ np.abs(block[:, 1]) == 0.0
     sums, abs_sums = _series_evolve(mat, 0.8, np.zeros(6), 40)
     assert not sums.any() and not abs_sums.any()
 
@@ -171,12 +177,12 @@ def term_by_term(mat, t, row, stop):
     return total, abs_total
 
 
-@pytest.mark.parametrize("size", [1, 20])
+@pytest.mark.parametrize("shape", [(1,), (20,)])
 @pytest.mark.parametrize("a", [2.5, 60.0])
-def test_chunked_series_equals_term_by_term_loop(size, a):
+def test_chunked_series_equals_term_by_term_loop(shape, a):
     # stops on both sides of the 64-term chunk boundaries
     rng = np.random.default_rng(11)
-    mat, row = rng.normal(size=(size, size)), rng.normal(size=size)
+    mat, row = rng.normal(size=shape * 2), rng.normal(size=shape)
     norm = float(np.max(np.sum(np.abs(mat), axis=0)))
     t = 2.0 * a / norm
     for stop in (n for n in (1, 63, 64, 65, 128, 130) if a < n + 2):
@@ -231,7 +237,7 @@ def lattice_cases(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(lattice_cases())
-def test_series_parts_are_within_tail_plus_rounding(case):
+def test_series_columns_are_within_tail_plus_rounding(case):
     # each part: |pole series b - pole exp((t/2) D) b| <= ||pole||_inf tail ||S^-1 b||_1
     # + u (d + 2) sum_n |pole term_n| |b|, the reference independent of the series
     # and of heatop's float matrix
