@@ -27,6 +27,7 @@ from .heatop import (
     heat_apply_matexp,
     heat_moment,
     heat_moment_monomial,
+    heat_moments,
 )
 from .operators import (
     OperatorMatrix,
@@ -61,6 +62,7 @@ __all__ = [
     "heat_apply_matexp",
     "heat_moment",
     "heat_moment_monomial",
+    "heat_moments",
     "limit_density",
     "marginal_compatibility",
     "mc_moment",

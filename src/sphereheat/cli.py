@@ -12,9 +12,11 @@ Flags may also be supplied through ``--config FILE`` holding one
 ``key=value`` assignment per line (UTF-8, ``#`` comments), read as the
 subcommand's own flag ``--key=value``; explicit flags win, and a key that is
 not a flag of the subcommand is a usage error, as is an abbreviated flag or
-key.  A grid has as many coordinates as its longest monomial.  Cells are
-computed one after another; ``SPHEREHEAT_THREADS`` sizes only the process
-pool of an ``mc`` cell.  Floats are printed with 17
+key.  A grid has as many coordinates as its longest monomial.  A study
+evaluates each (monomial, route) as one batch over its (N, t) cells
+(:func:`sphereheat.heatop.heat_moments`), and each cell comes out as it
+would alone; ``mc`` cells run one after another, and ``SPHEREHEAT_THREADS``
+sizes only the process pool of an ``mc`` cell.  Floats are printed with 17
 significant digits, a fixed seed makes reruns byte-identical, and a cell
 that fails keeps its reason, which ``moment`` and ``study`` print (the
 latter on stderr, so the CSV does not change) and ``mc`` reports as an error.
@@ -35,7 +37,7 @@ import numpy as np
 from . import verify as verify_mod
 from .eigenmethod import ExpSumPrecisionError
 from .gaussian_limit import gaussian_moment
-from .heatop import SeriesToleranceError, heat_moment_monomial
+from .heatop import SeriesToleranceError, heat_moments
 from .operators import SphereConfig
 from .pde_appendix import (
     FIRST_COORDINATE,
@@ -45,6 +47,7 @@ from .pde_appendix import (
     residual,
     spectral_evolve,
 )
+from .polyalg import Polynomial
 from .sphere_mc import McConfig, McEstimate, mc_moment
 
 CSV_HEADER = [
@@ -52,6 +55,8 @@ CSV_HEADER = [
 ]
 ALL_ROUTES = ("matexp", "series", "eigen", "mc")
 DEFAULT_ROUTES = ("eigen",)  # of moment and study: the exact route
+# the errors that fail a cell, whose message is the cell's reason
+_REFUSALS = (ValueError, SeriesToleranceError, ExpSumPrecisionError)
 
 
 def _fmt(x: float) -> str:
@@ -126,32 +131,43 @@ class StudyRow:
         ]
 
 
-def _route_value(
-    spec: StudySpec, alpha: tuple[int, ...], n: int, t: float, route: str
-) -> tuple[float | None, float | None, str | None]:
-    """(value, stderr, reason); value None marks a failed route, reason says why."""
-    cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=max(map(sum, spec.monomials)))
+def _route_values(
+    spec: StudySpec, alpha: tuple[int, ...], route: str, cells: list[tuple[int, float]]
+) -> list[tuple[float | None, float | None, str | None]]:
+    """(value, stderr, reason) of each (N, t) cell of one monomial on one route;
+    value None marks a failed cell, reason says why.  The cells of a
+    deterministic route are one :func:`heat_moments` batch."""
+    ell = max(map(sum, spec.monomials))
+    cfgs = [SphereConfig(N=n, t=t, k=len(alpha), ell=ell) for n, t in cells]
+    if route == "mc":
+        out = []
+        for cfg in cfgs:
+            try:
+                est = mc_moment(McConfig(cfg=cfg, step_h=spec.step, n_paths=spec.paths,
+                                         seed=spec.seed), alpha)
+                out.append((est.mean, est.stderr, None))
+            except _REFUSALS as exc:
+                out.append((None, None, str(exc)))
+        return out
+    precision = "extended" if route == "eigen" else spec.precision
     try:
-        if route == "mc":
-            mc = McConfig(cfg=cfg, step_h=spec.step, n_paths=spec.paths, seed=spec.seed)
-            est = mc_moment(mc, alpha)
-            return est.mean, est.stderr, None
-        if route == "eigen":
-            return heat_moment_monomial(cfg, alpha, precision="extended").value, None, None
-        res = heat_moment_monomial(cfg, alpha, route=route, precision=spec.precision)
-        return res.value, None, None
-    except (ValueError, SeriesToleranceError, ExpSumPrecisionError) as exc:
-        return None, None, str(exc)
+        results = heat_moments(cfgs, Polynomial.monomial(alpha),
+                               route="matexp" if route == "eigen" else route, precision=precision)
+    except _REFUSALS as exc:
+        results = [exc] * len(cfgs)
+    return [(None, None, str(r)) if isinstance(r, Exception) else (r.value, None, None)
+            for r in results]
 
 
 def run_study(spec: StudySpec) -> list[StudyRow]:
-    """Compute all grid cells, one after another, in canonical row order."""
+    """Compute all grid cells, each (monomial, route) as one batch over its
+    (N, t) cells, in canonical row order."""
     rows = []
-    for cell in itertools.product(spec.monomials, spec.n_values, spec.t_values, spec.routes):
-        value, stderr, reason = _route_value(spec, *cell)
-        alpha, n, t, route = cell
-        rows.append(StudyRow(alpha, n, t, route, value, gaussian_moment(alpha, t),
-                             stderr=stderr, reason=reason))
+    cells = list(itertools.product(spec.n_values, spec.t_values))
+    for alpha, route in itertools.product(spec.monomials, spec.routes):
+        for (n, t), (value, stderr, reason) in zip(cells, _route_values(spec, alpha, route, cells)):
+            rows.append(StudyRow(alpha, n, t, route, value, gaussian_moment(alpha, t),
+                                 stderr=stderr, reason=reason))
     rows.sort(key=lambda r: (r.monomial, r.N, r.t, r.route))
     _fill_rates(rows)
     return rows

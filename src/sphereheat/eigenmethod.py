@@ -12,7 +12,12 @@ The one exact derivation of the package is two steps: the rotation
 reduction :func:`_first_coordinate_parts` turns a polynomial into parts in
 the shifted first coordinate, and :func:`eigen_moment_terms` sums their
 eigen expansions.  :mod:`sphereheat.heatop` takes every moment through
-them, and :func:`finite_moment_x1` is their x1^n case.
+them, and :func:`finite_moment_x1` is their x1^n case.  Both, and the
+eigen-polynomials, their values at sqrt(N) and the expansion of x^n over
+them, compute in Python integers over one common denominator each; their
+runtime checks (D p = lambda p, the direct value against the product form,
+the O(n) check of the expansion) hold multiplied through by those
+denominators, and the public functions return the same Fractions.
 
 The module also carries the 1/N power series of the rational factor t0(h)
 that drives the large-N moment analysis, each coefficient polynomial
@@ -31,7 +36,7 @@ from typing import Mapping, Sequence
 import mpmath
 
 from .gaussian_limit import even_moment_factor
-from .polyalg import Polynomial, shift_first_variable_powers
+from .polyalg import Polynomial
 
 
 class DegenerateParameterError(ValueError):
@@ -98,63 +103,96 @@ class EigenPolynomial:
         )
 
 
-@lru_cache(maxsize=1024)
-def eigen_poly(n: int, N: int) -> EigenPolynomial:
-    """Eigen-polynomial p_n of D for sphere parameter N (memoized).
+def _over_one_denominator(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """Integers a_0 ... a_J and Q with a_j / Q = prod_(i<j) p_i / q_i over the ratios
+    (p_i, q_i), i < J: a_j = prod_(i<j) p_i prod_(j<=i<J) q_i and Q = prod q_i."""
+    heads, tails = [1], [1]
+    for p, _ in ratios:
+        heads.append(heads[-1] * p)
+    for _, q in reversed(ratios):
+        tails.append(tails[-1] * q)
+    return tuple(h * t for h, t in zip(heads, reversed(tails))), tails[-1]
 
-    p_n(x) = sum_j (-N/4)^j  n^(2j falling) / (j! (N/2 + n - 2)^(j falling))
-             x^(n-2j),
-    built by the exact ratio c_(j+1) / c_j = -N (n-2j) (n-2j-1) / (2 (j+1) (N + 2n - 4 - 2j)).
-    """
+
+@lru_cache(maxsize=1024)
+def _eigen_coeffs(n: int, N: int) -> tuple[tuple[int, ...], int]:
+    """The coefficients of p_n as integers a_j over one denominator Q, c_j = a_j / Q
+    (memoized), from the exact ratio
+    c_(j+1) / c_j = -N (n-2j) (n-2j-1) / (2 (j+1) (N + 2n - 4 - 2j)).
+    D p = lambda p is checked multiplied through by N Q: N D p = -n (N + n - 2) p."""
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_regular_n(N)
-    coeffs = [Fraction(1)]
-    for j in range(n // 2):
-        coeffs.append(coeffs[j] * Fraction(-N * (n - 2 * j) * (n - 2 * j - 1),
-                                           2 * (j + 1) * (N + 2 * n - 4 - 2 * j)))
-    lam = eigenvalue(n, N)
-    if _apply_d(n, N, coeffs) != [lam * c for c in coeffs]:
+    nums, den = _over_one_denominator([
+        (-N * (n - 2 * j) * (n - 2 * j - 1), 2 * (j + 1) * (N + 2 * n - 4 - 2 * j))
+        for j in range(n // 2)])
+    if _apply_d(n, N, nums) != [-n * (N + n - 2) * a for a in nums]:
         raise AssertionError(f"eigen-relation failed for n={n}, N={N}")
-    return EigenPolynomial(n=n, N=N, coeffs=tuple(coeffs), eigenvalue=lam)
+    return nums, den
 
 
-def _apply_d(n: int, N: int, coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """D p for p = sum_j coeffs[j] x^(n-2j), from D = d^2 - (1-2/N) R1 - (1/N) R1^2:
-    d^2 sends x^(e+2) to (e+2)(e+1) x^e and R1 multiplies x^e by e."""
-    c1, cN = 1 - Fraction(2, N), Fraction(1, N)
+def eigen_poly(n: int, N: int) -> EigenPolynomial:
+    """Eigen-polynomial p_n of D for sphere parameter N.
+
+    p_n(x) = sum_j (-N/4)^j  n^(2j falling) / (j! (N/2 + n - 2)^(j falling))
+             x^(n-2j),
+    the coefficients of :func:`_eigen_coeffs` as Fractions.
+    """
+    nums, den = _eigen_coeffs(n, N)
+    return EigenPolynomial(n=n, N=N, coeffs=tuple(Fraction(a, den) for a in nums),
+                           eigenvalue=eigenvalue(n, N))
+
+
+def _apply_d(n: int, N: int, coeffs: Sequence) -> list:
+    """N D p for p = sum_j coeffs[j] x^(n-2j), from N D = N d^2 - (N-2) R1 - R1^2:
+    d^2 sends x^(e+2) to (e+2)(e+1) x^e and R1 multiplies x^e by e.  Integer
+    coefficients give integers."""
     out = []
     for j, c in enumerate(coeffs):
         e = n - 2 * j
-        lowered = (e + 2) * (e + 1) * coeffs[j - 1] if j else 0
-        out.append(lowered - (c1 * e + cN * e * e) * c)
+        lowered = N * (e + 2) * (e + 1) * coeffs[j - 1] if j else 0
+        out.append(lowered - e * (N - 2 + e) * c)
     return out
 
 
 @lru_cache(maxsize=1024)
+def _value_at_sqrtN(n: int, N: int) -> tuple[int, int]:
+    """p_n(sqrt(N)) / N^(n/2) in lowest terms, (numerator, denominator) (memoized).
+
+    The direct value sum_j c_j N^-j is summed by Horner over the common
+    denominator Q N^J, J = floor(n/2), and must equal the product form
+    :func:`pw_product_form`, cross-multiplied in integers.
+    """
+    nums, den = _eigen_coeffs(n, N)
+    direct = 0
+    for a in nums:
+        direct = direct * N + a
+    product = pw_product_form(n, N)
+    if direct * product.denominator != product.numerator * den * N ** (len(nums) - 1):
+        raise AssertionError(
+            f"product form disagrees with direct evaluation at n={n}, N={N}"
+        )
+    return product.numerator, product.denominator
+
+
 def eigen_poly_at_sqrtN(n: int, N: int) -> Fraction:
-    """Exact normalized value p_n(sqrt(N)) / N^(n/2) (memoized).
+    """Exact normalized value p_n(sqrt(N)) / N^(n/2).
 
     Computed directly from the coefficients and cross-validated against the
     hypergeometric product form; the two must agree exactly.
     """
-    p = eigen_poly(n, N)
-    direct = sum((c * Fraction(N) ** -j for j, c in enumerate(p.coeffs)), Fraction(0))
-    product = pw_product_form(n, N)
-    if direct != product:
-        raise AssertionError(
-            f"product form disagrees with direct evaluation at n={n}, N={N}"
-        )
-    return direct
+    return Fraction(*_value_at_sqrtN(n, N))
 
 
 def pw_product_form(n: int, N: int) -> Fraction:
     """Product form of p_n(sqrt(N)) / N^(n/2):
-    ((N-1)/2)^(floor(n/2) rising) / (N/2 + n - 2)^(floor(n/2) falling).
+    ((N-1)/2)^(floor(n/2) rising) / (N/2 + n - 2)^(floor(n/2) falling)
+    = prod_(i<h) (N - 1 + 2i) / (N + 2n - 4 - 2i), h = floor(n/2).
     """
     _require_regular_n(N)  # so no factor of the denominator vanishes
     half = n // 2
-    return rising(Fraction(N - 1, 2), half) / falling(Fraction(N, 2) + n - 2, half)
+    return Fraction(math.prod(range(N - 1, N - 1 + 2 * half, 2)),
+                    math.prod(range(N + 2 * n - 4, N + 2 * n - 4 - 2 * half, -2)))
 
 
 def pw_simplified_form(n: int, N: int) -> Fraction:
@@ -200,34 +238,44 @@ def evaluation_ratio(n: int, N: int) -> Fraction:
 
 
 @lru_cache(maxsize=1024)
-def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
-    """Coefficients c_j with x^n = sum_j c_j p_(n-2j), exact (memoized).
+def _monomial_expansion(n: int, N: int) -> tuple[tuple[int, ...], int]:
+    """Coefficients c_j with x^n = sum_j c_j p_(n-2j), as integers a_j over one
+    denominator Q, c_j = a_j / Q (memoized).
 
     c_j = (N/4)^j n^(2j falling) / (j! (N/2 + n - j - 1)^(j falling)), built by
     the exact ratio c_(j+1) / c_j
     = N (n-2j) (n-2j-1) (N + 2n - 2j - 2) / (2 (j+1) (N + 2n - 4j - 2) (N + 2n - 4j - 4)).
     Verified exactly in O(n), by induction on n from x^0 = p_0, x^1 = p_1: with c' the
     verified x^(n-2), D x^n = lambda_n x^n + n (n-1) x^(n-2) and the eigen relations of
-    :func:`eigen_poly`, r = x^n - sum_j c_j p_(n-2j) has (D - lambda_n) r = sum_(j>=1)
-    [n (n-1) c'_(j-1) - c_j (lambda_(n-2j) - lambda_n)] p_(n-2j), each bracket 0.  As c_0 = 1,
-    r holds x^e, e < n, where D is triangular with distinct diagonal lambda_e: so r = 0.
+    :func:`_eigen_coeffs`, r = x^n - sum_j c_j p_(n-2j) has (D - lambda_n) r = sum_(j>=1)
+    [n (n-1) c'_(j-1) - c_j (lambda_(n-2j) - lambda_n)] p_(n-2j), each bracket 0, checked
+    multiplied through by N and both denominators.  As c_0 = 1, r holds x^e, e < n,
+    where D is triangular with distinct diagonal lambda_e: so r = 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_regular_n(N)
-    coeffs = [Fraction(1)]
-    for j in range(n // 2):
-        coeffs.append(coeffs[j] * Fraction(
-            N * (n - 2 * j) * (n - 2 * j - 1) * (N + 2 * n - 2 * j - 2),
-            2 * (j + 1) * (N + 2 * n - 4 * j - 2) * (N + 2 * n - 4 * j - 4)))
-    eigen_poly(n, N)  # checks D p_n = lambda_n p_n
-    lam, lower = eigenvalue(n, N), ()
+    nums, den = _over_one_denominator([
+        (N * (n - 2 * j) * (n - 2 * j - 1) * (N + 2 * n - 2 * j - 2),
+         2 * (j + 1) * (N + 2 * n - 4 * j - 2) * (N + 2 * n - 4 * j - 4))
+        for j in range(n // 2)])
+    _eigen_coeffs(n, N)  # checks D p_n = lambda_n p_n
+    lower, lower_den = (), 1
     for e in range(n % 2, n - 1, 2):  # lowest first, so no call recurses deeper than one
-        lower = monomial_in_eigenbasis(e, N)
-    for j, c in enumerate(coeffs[1:], 1):
-        if c * (eigenvalue(n - 2 * j, N) - lam) != n * (n - 1) * lower[j - 1]:
+        lower, lower_den = _monomial_expansion(e, N)
+    gap = n * (N + n - 2)  # N (lambda_e - lambda_n) = gap - e (N + e - 2)
+    for j, a in enumerate(nums[1:], 1):
+        e = n - 2 * j
+        if a * (gap - e * (N + e - 2)) * lower_den != N * n * (n - 1) * lower[j - 1] * den:
             raise AssertionError(f"eigenbasis expansion failed for n={n}, N={N}")
-    return tuple(coeffs)
+    return nums, den
+
+
+def monomial_in_eigenbasis(n: int, N: int) -> tuple[Fraction, ...]:
+    """Coefficients c_j with x^n = sum_j c_j p_(n-2j), exact: those of
+    :func:`_monomial_expansion` as Fractions."""
+    nums, den = _monomial_expansion(n, N)
+    return tuple(Fraction(a, den) for a in nums)
 
 
 # ----------------------------------------------------------------------
@@ -343,53 +391,69 @@ class FiniteMomentX1:
 
 @lru_cache(maxsize=256)
 def _first_coordinate_parts(N: int, k: int, terms: tuple) -> tuple:
-    """Parts of f = sum c x^alpha over (alpha, c) in terms, with E f = sum_i m^i E[g_i(y1)]:
-    parts[i] lists the (n, c) of g_i = sum c y1^n by increasing n.
+    """Parts of f = sum c x^alpha over (alpha, c) in terms, in integers over one
+    denominator: (den, parts) with E f = sum_i m^i E[g_i(y1)] / den, where
+    parts[i] lists the (n, a) of g_i = sum a y1^n by increasing n, each a a
+    nonzero integer, for i up to the total degree of f.
 
-    Given y1 = x1 + m, the other coordinates are uniform on the sphere of
-    radius sqrt(N - y1^2) in N - 1 dimensions, so E[prod_j x_j^b_j | y1] is 0
-    if some b_j is odd and c_b(N) (N - y1^2)^h otherwise, h = |b|/2, with
-    c_b(N) = prod (b_j - 1)!! / prod_(i<h) (N - 1 + 2i) (G. B. Folland, How to
-    integrate a polynomial over a sphere, Amer. Math. Monthly 108, 2001).
+    Given y1 = x1 + m, x1^a = sum_i C(a, i) (-m)^i y1^(a-i), and the other
+    coordinates are uniform on the sphere of radius sqrt(N - y1^2) in N - 1
+    dimensions, so E[prod_j x_j^b_j | y1] is 0 if some b_j is odd and
+    c_b(N) (N - y1^2)^h otherwise, h = |b|/2, with c_b(N) = prod (b_j - 1)!! /
+    prod_(i<h) (N - 1 + 2i) (G. B. Folland, How to integrate a polynomial over a
+    sphere, Amer. Math. Monthly 108, 2001).  den is the least common multiple
+    of the coefficients' denominators times prod_(i<H) (N - 1 + 2i), H the
+    largest h.
     """
-    even = {alpha: c for alpha, c in terms if not any(e % 2 for e in alpha[1:])}
-    parts = []
-    for g in shift_first_variable_powers(Polynomial(k, even)):
-        part: dict[int, Fraction] = {}
-        for (n, *b), c in g.terms.items():
-            h = sum(b) // 2
-            c *= Fraction(math.prod(map(even_moment_factor, b)),
-                          math.prod(range(N - 1, N - 1 + 2 * h, 2)))
+    even = [(alpha, c) for alpha, c in terms if not any(e % 2 for e in alpha[1:])]
+    h_top = max((sum(alpha[1:]) // 2 for alpha, _ in even), default=0)
+    scale = math.lcm(*(c.denominator for _, c in even))
+    parts: list[dict[int, int]] = [{} for _ in range(max((sum(a) for a, _ in even), default=0) + 1)]
+    for (n, *b), c in even:
+        h = sum(b) // 2
+        w = (c.numerator * (scale // c.denominator) * math.prod(map(even_moment_factor, b))
+             * math.prod(range(N - 1 + 2 * h, N - 1 + 2 * h_top, 2)))
+        for i in range(n + 1):
+            part, shifted = parts[i], w * math.comb(n, i) * (-1) ** i
             for l in range(h + 1):  # (N - y1^2)^h, expanded
-                w = c * math.comb(h, l) * (-1) ** l * N ** (h - l)
-                part[n + 2 * l] = part.get(n + 2 * l, 0) + w
-        parts.append(tuple(sorted((n, c) for n, c in part.items() if c)))
-    return tuple(parts)
+                d = n - i + 2 * l
+                part[d] = part.get(d, 0) + shifted * math.comb(h, l) * (-1) ** l * N ** (h - l)
+    den = scale * math.prod(range(N - 1, N - 1 + 2 * h_top, 2))
+    return den, tuple(tuple(sorted((n, a) for n, a in part.items() if a)) for part in parts)
 
 
 @lru_cache(maxsize=256)
-def eigen_moment_terms(
-    N: int, parts: tuple[tuple[tuple[int, Fraction], ...], ...]
-) -> Mapping[tuple[int, int], Fraction]:
-    """Exact moment  sum_i m^i E[g_i(y1)]  as (j, c) -> w terms, w m^j exp(-c t/N).
+def eigen_moment_terms(N: int, parts: tuple) -> Mapping[tuple[int, int], Fraction]:
+    """Exact moment  sum_i m^i E[g_i(y1)] / den  as (j, c) -> w terms, w m^j exp(-c t/N).
 
-    ``parts[i]`` holds the (n, coeff) pairs of g_i = sum coeff y1^n.  Each y1^n
-    is expanded over the eigenbasis and each p_d scaled by exp(t lambda_d / 2)
-    and evaluated at sqrt(N): with lambda_d = -d - d (d-2)/N, that is
-    p_d(sqrt N) / N^(d/2) times m^d exp(-d (d-1) t/(2N)), the key
-    (d, d (d-1)/2); the drift power m^i adds i to j.  Memoized per
-    (parts, N), so every t shares it; the mapping is read-only.  The
-    eigenvalues are distinct for N >= 2: lambda_a = lambda_b means
+    ``parts`` is (den, parts) from :func:`_first_coordinate_parts`: ``parts[i]``
+    holds the (n, a) pairs of g_i = sum a y1^n.  Each y1^n is expanded over the
+    eigenbasis and each p_d scaled by exp(t lambda_d / 2) and evaluated at
+    sqrt(N): with lambda_d = -d - d (d-2)/N, that is p_d(sqrt N) / N^(d/2) times
+    m^d exp(-d (d-1) t/(2N)), the key (d, d (d-1)/2); the drift power m^i adds i
+    to j.  The products c_k p_d(sqrt N) / N^(d/2) of every y1^n are taken over
+    their least common denominator, and the weights summed in integers.
+    Memoized per (parts, N), so every t shares it; the mapping is read-only.
+    The eigenvalues are distinct for N >= 2: lambda_a = lambda_b means
     (a - b) (N - 2 + a + b) = 0.
     """
-    terms: dict[tuple[int, int], Fraction] = {}
+    den, parts = parts
+    expansions = {n: _monomial_expansion(n, N) for n in sorted({n for g in parts for n, _ in g})}
+    values = {d: _value_at_sqrtN(d, N)
+              for d in {d for n in expansions for d in range(n % 2, n + 1, 2)}}
+    common = math.lcm(*{q * values[n - 2 * k][1] for n, (nums, q) in expansions.items()
+                        for k in range(len(nums))})
+    weights = {  # y1^n: d -> c_k p_d(sqrt N) / N^(d/2) over the common denominator
+        n: [(n - 2 * k, b * values[n - 2 * k][0] * (common // (q * values[n - 2 * k][1])))
+            for k, b in enumerate(nums)]
+        for n, (nums, q) in expansions.items()}
+    terms: dict[tuple[int, int], int] = {}
     for i, g in enumerate(parts):
-        for n, coeff in g:
-            for k, b in enumerate(monomial_in_eigenbasis(n, N)):
-                d = n - 2 * k
+        for n, a in g:
+            for d, w in weights[n]:
                 key = (i + d, d * (d - 1) // 2)
-                terms[key] = terms.get(key, 0) + coeff * b * eigen_poly_at_sqrtN(d, N)
-    return MappingProxyType({k: w for k, w in terms.items() if w})
+                terms[key] = terms.get(key, 0) + a * w
+    return MappingProxyType({k: Fraction(w, den * common) for k, w in terms.items() if w})
 
 
 @lru_cache(maxsize=1024)

@@ -122,6 +122,33 @@ def test_study_csv_does_not_depend_on_cache_state(clear_caches):
     assert cold == warm
 
 
+@pytest.mark.parametrize("grid", [
+    dict(monomials=[(4,), (8,), (12,)], n_values=[16, 64, 1024], t_values=[0.5, 2.0],
+         routes=["matexp", "series", "eigen"]),
+    dict(monomials=[(4, 2, 0), (2, 2, 2)], n_values=[16, 256], t_values=[0.5, 2.0],
+         routes=["matexp", "series"]),
+    # refused cells share their batch with good ones: series at N = 16, and
+    # matexp and series at N = 4096
+    dict(monomials=[(160,)], n_values=[16, 4096], t_values=[1.0],
+         routes=["matexp", "series", "eigen"]),
+])
+def test_study_batch_equals_its_cells_run_alone(grid):
+    rows = run_study(StudySpec(**grid))
+    alone = [row for alpha in grid["monomials"] for n in grid["n_values"]
+             for t in grid["t_values"] for route in grid["routes"]
+             for row in run_study(StudySpec(monomials=[alpha], n_values=[n], t_values=[t],
+                                            routes=[route]))]
+    alone.sort(key=lambda r: (r.monomial, r.N, r.t, r.route))
+    def key(r):
+        return r.monomial, r.N, r.t, r.route, r.value, r.limit, r.stderr, r.reason
+
+    assert [key(r) for r in rows] == [key(r) for r in alone]
+    assert [r.to_csv()[:7] for r in rows] == [r.to_csv()[:7] for r in alone]
+    if grid["monomials"] == [(160,)]:
+        assert [(r.N, r.route) for r in rows if r.value is None] == [
+            (16, "series"), (4096, "matexp"), (4096, "series")]
+
+
 def test_csv_independent_of_thread_count(monkeypatch):
     spec = dict(
         monomials=[(2, 0)], n_values=[8, 16], t_values=[1.0],
@@ -192,6 +219,13 @@ def test_moment_that_overflows_inside_a_double_route_fails_with_a_reason(capsys)
     for route, line in zip(("matexp", "series"), capsys.readouterr().out.splitlines()):
         assert line.endswith(f"FAILED (the {route} moment or its bound is not finite "
                              "in double precision; use the exact eigen route)")
+    # x1^60 at N = 16, t = 10: the series stop scan passes tails beyond the double
+    # range (a = 1390) on its way to a stop; the cell is refused, not a traceback
+    assert main(["moment", "--monomial", "60", "--N", "16", "--t", "10",
+                 "--routes", "series"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "FAILED (the series moment or its bound is not finite in double precision; "
+        "use the exact eigen route)\n")
 
 
 def test_study_names_the_reason_of_each_failed_cell(tmp_path, capsys):

@@ -28,10 +28,10 @@ from sphereheat.eigenmethod import (
     t0_exact,
     t0_series,
 )
-from sphereheat.gaussian_limit import gaussian_moment, var_first
+from sphereheat.gaussian_limit import even_moment_factor, gaussian_moment, var_first
 from sphereheat.heatop import heat_moment_monomial
 from sphereheat.operators import SphereConfig, _first_part_rule
-from sphereheat.polyalg import Polynomial
+from sphereheat.polyalg import Polynomial, shift_first_variable_powers
 
 from lattice_reference import lattice_moment
 
@@ -92,7 +92,7 @@ def test_small_n_rejected_with_diagnostic():
 
 
 def test_sparse_d_matches_the_dense_operator():
-    # the eigen-relation check applies D to coefficient tuples; the rule to polynomials
+    # the eigen-relation check applies N D to coefficient tuples; the rule D to polynomials
     for n_sphere in (2, 3, 17):
         d_rule = _first_part_rule(n_sphere)
         for n in range(10):
@@ -100,7 +100,9 @@ def test_sparse_d_matches_the_dense_operator():
             poly = Polynomial(1, {(n - 2 * j,): c for j, c in enumerate(coeffs)})
             image = d_rule(poly)
             assert _apply_d(n, n_sphere, coeffs) == [
-                image.coefficient((n - 2 * j,)) for j in range(len(coeffs))]
+                n_sphere * image.coefficient((n - 2 * j,)) for j in range(len(coeffs))]
+            integers = [3 * j + 1 for j in range(n // 2 + 1)]
+            assert all(type(c) is int for c in _apply_d(n, n_sphere, integers))
 
 
 # ----------------------------------------------------------------------
@@ -175,19 +177,49 @@ def test_monomial_expansion_round_trip():
 
 
 def test_expansion_check_catches_a_perturbed_coefficient(monkeypatch, clear_caches):
-    # x^8 is checked against the expansion of x^6; one wrong coefficient there fails it
-    expand = eigenmethod.monomial_in_eigenbasis
+    # x^8 is checked against the expansion of x^6; one numerator off by one there fails it
+    expand = eigenmethod._monomial_expansion
     clear_caches()
 
     def perturbed(n, N):
-        coeffs = expand(n, N)
-        return coeffs[:1] + (coeffs[1] + Fraction(1, 10**9),) + coeffs[2:] if n == 6 else coeffs
+        nums, den = expand(n, N)
+        return (nums[:1] + (nums[1] + 1,) + nums[2:], den) if n == 6 else (nums, den)
 
-    monkeypatch.setattr(eigenmethod, "monomial_in_eigenbasis", perturbed)
+    monkeypatch.setattr(eigenmethod, "_monomial_expansion", perturbed)
     with pytest.raises(AssertionError, match="expansion failed for n=8, N=10"):
         expand(8, 10)
     monkeypatch.undo()
     expand(8, 10)  # the memo holds no perturbed expansion
+
+
+def test_eigen_relation_check_catches_a_perturbed_numerator(monkeypatch, clear_caches):
+    # one numerator of p_6 off by one: N D p = -n (N + n - 2) p fails in integers
+    over_one = eigenmethod._over_one_denominator
+    clear_caches()
+
+    def perturbed(ratios):
+        nums, den = over_one(ratios)
+        return nums[:-1] + (nums[-1] + 1,), den
+
+    monkeypatch.setattr(eigenmethod, "_over_one_denominator", perturbed)
+    with pytest.raises(AssertionError, match="eigen-relation failed for n=6, N=10"):
+        eigen_poly(6, 10)
+    monkeypatch.undo()
+    assert eigen_poly(6, 10).coeffs[-1] == Fraction(-10, 4) ** 3 * falling(6, 6) / (
+        6 * falling(Fraction(10, 2) + 4, 3))
+
+
+def test_value_check_catches_a_perturbed_numerator(monkeypatch, clear_caches):
+    # the direct value of p_5 with one numerator off by one disagrees with the product form
+    coeffs = eigenmethod._eigen_coeffs
+    clear_caches()
+    nums, den = coeffs(5, 10)
+    monkeypatch.setattr(eigenmethod, "_eigen_coeffs",
+                        lambda n, N: (nums[:1] + (nums[1] + 1,) + nums[2:], den))
+    with pytest.raises(AssertionError, match="product form disagrees .* n=5, N=10"):
+        eigen_poly_at_sqrtN(5, 10)
+    monkeypatch.undo()
+    assert eigen_poly_at_sqrtN(5, 10) == pw_product_form(5, 10)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 10, 1024, 10**6])
@@ -201,6 +233,80 @@ def test_ratio_recurrences_give_the_falling_factorial_coefficients(N):
             Fraction(N, 4) ** j * falling(n, 2 * j)
             / (math.factorial(j) * falling(Fraction(N, 2) + n - j - 1, j))
             for j in range(n // 2 + 1)), n
+
+
+def fraction_eigen_coeffs(n, N):
+    """The coefficients of p_n from their falling-factorial formula, in Fractions."""
+    return tuple(Fraction(-N, 4) ** j * falling(n, 2 * j)
+                 / (math.factorial(j) * falling(Fraction(N, 2) + n - 2, j))
+                 for j in range(n // 2 + 1))
+
+
+def fraction_expansion(n, N):
+    """x^n over the eigenbasis from the falling-factorial formula, in Fractions."""
+    return tuple(Fraction(N, 4) ** j * falling(n, 2 * j)
+                 / (math.factorial(j) * falling(Fraction(N, 2) + n - j - 1, j))
+                 for j in range(n // 2 + 1))
+
+
+def fraction_value(n, N):
+    """p_n(sqrt N) / N^(n/2) summed from the Fraction coefficients."""
+    return sum((c * Fraction(N) ** -j for j, c in enumerate(fraction_eigen_coeffs(n, N))),
+               Fraction(0))
+
+
+def fraction_parts(N, k, terms):
+    """The rotation reduction in Fractions, through the polynomial shift x1 -> x1 - m."""
+    even = {alpha: c for alpha, c in terms if not any(e % 2 for e in alpha[1:])}
+    parts = []
+    for g in shift_first_variable_powers(Polynomial(k, even)):
+        part = {}
+        for (n, *b), c in g.terms.items():
+            h = sum(b) // 2
+            c *= Fraction(math.prod(map(even_moment_factor, b)),
+                          math.prod(range(N - 1, N - 1 + 2 * h, 2)))
+            for l in range(h + 1):
+                w = c * math.comb(h, l) * (-1) ** l * N ** (h - l)  # (N - y1^2)^h
+                part[n + 2 * l] = part.get(n + 2 * l, 0) + w
+        parts.append(tuple(sorted((n, c) for n, c in part.items() if c)))
+    return tuple(parts)
+
+
+def fraction_terms(N, parts):
+    """The eigen sums of Fraction parts, one Fraction operation at a time."""
+    terms = {}
+    for i, g in enumerate(parts):
+        for n, coeff in g:
+            for k, b in enumerate(fraction_expansion(n, N)):
+                d = n - 2 * k
+                key = (i + d, d * (d - 1) // 2)
+                terms[key] = terms.get(key, 0) + coeff * b * fraction_value(d, N)
+    return {key: w for key, w in terms.items() if w}
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 16, 1024, 10**9])
+def test_integer_exact_layer_equals_the_fraction_formulas(N):
+    for n in range(41):
+        assert eigen_poly(n, N).coeffs == fraction_eigen_coeffs(n, N), n
+        assert monomial_in_eigenbasis(n, N) == fraction_expansion(n, N), n
+        assert eigen_poly_at_sqrtN(n, N) == fraction_value(n, N), n
+    cases = [((n,), Fraction(1)) for n in range(0, 41, 3)]
+    cases += [(alpha, c) for alpha, c in (((6, 2), Fraction(-3, 7)), ((5, 4, 2), Fraction(2, 9)),
+                                          ((3, 6, 0), Fraction(5)), ((2, 2, 2), Fraction(1, 3)))
+              if len(alpha) < N]
+    for alpha, c in cases:
+        terms = ((alpha, c),)
+        den, parts = eigenmethod._first_coordinate_parts(N, len(alpha), terms)
+        reference = fraction_parts(N, len(alpha), terms)
+        assert tuple(tuple((n, Fraction(a, den)) for n, a in g) for g in parts) == reference, alpha
+        exact = eigenmethod.eigen_moment_terms(N, (den, parts))
+        assert dict(exact) == fraction_terms(N, reference), alpha
+    # a polynomial of several terms shares one denominator across its monomials
+    terms = (((0, 4), Fraction(3)), ((2, 0), Fraction(-5, 4)), ((4, 2), Fraction(1, 6)))
+    if N > 2:
+        den, parts = eigenmethod._first_coordinate_parts(N, 2, terms)
+        assert dict(eigenmethod.eigen_moment_terms(N, (den, parts))) == fraction_terms(
+            N, fraction_parts(N, 2, terms))
 
 
 # ----------------------------------------------------------------------
@@ -231,8 +337,9 @@ def test_assembly_expands_each_power_once_per_n(clear_caches):
     clear_caches()
     for n in (12, 8, 4):
         finite_moment_x1(n, 64)
-    assert monomial_in_eigenbasis.cache_info().misses == 13
-    assert eigen_poly_at_sqrtN.cache_info().misses == 13
+    assert eigenmethod._monomial_expansion.cache_info().misses == 13
+    assert eigenmethod._value_at_sqrtN.cache_info().misses == 13
+    assert eigenmethod._eigen_coeffs.cache_info().misses == 13
 
 
 @pytest.mark.parametrize("N", [3, 4, 5] + [2**e for e in range(3, 13)] + [10**5, 10**6])

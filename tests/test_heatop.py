@@ -1,6 +1,7 @@
 """Cross-checked numeric routes for the heat-operator moments."""
 
 import inspect
+import itertools
 import math
 import random
 import time
@@ -22,7 +23,7 @@ from sphereheat.eigenmethod import (
     finite_moment_x1,
     monomial_in_eigenbasis,
 )
-from sphereheat import heatop
+from sphereheat import eigenmethod, heatop
 from sphereheat.heatop import (
     MomentResult,
     SeriesToleranceError,
@@ -34,6 +35,7 @@ from sphereheat.heatop import (
     heat_apply_matexp,
     heat_moment,
     heat_moment_monomial,
+    heat_moments,
 )
 from sphereheat.operators import (
     OperatorMatrix,
@@ -62,11 +64,17 @@ def x1sq_closed_form(n: int, t: float) -> float:
 
 @pytest.fixture
 def series_scans(monkeypatch):
-    """The (stop, tail) of every _series_stop call made while the test runs."""
+    """The (stops, tails) arrays of every _series_stop call made while the test runs."""
     scans = []
     monkeypatch.setattr(heatop, "_series_stop",
                         lambda *args: scans.append(_series_stop(*args)) or scans[-1])
     return scans
+
+
+def stop_of(half_t, norm, ratio, max_terms=20000):
+    """The (stop, tail) of one scan; a stop of -1 means the tail is out of reach."""
+    (stop,), (tail,) = _series_stop(half_t, norm, ratio, max_terms)
+    return int(stop), float(tail)
 
 
 def plain_series(mat, t, row, tol, max_terms=20000):
@@ -74,8 +82,10 @@ def plain_series(mat, t, row, tol, max_terms=20000):
     ||row||_inf tail(t/2 ||mat||_1, n) <= tol, a bound on ||row R_n||_inf.
     Returns the sum, sum_n |term_n| and that bound."""
     scale = float(np.max(np.abs(row)))
-    stop, tail = _series_stop(0.5 * t, float(np.max(np.sum(np.abs(mat), axis=0))),
-                              tol / scale if scale else math.inf, max_terms)
+    stop, tail = stop_of(0.5 * t, float(np.max(np.sum(np.abs(mat), axis=0))),
+                         tol / scale if scale else math.inf, max_terms)
+    if stop < 0:
+        raise SeriesToleranceError(f"no tail {tol / scale:.3g} in {max_terms} terms")
     return (*_series_evolve(mat, t, row, stop), scale * tail)
 
 
@@ -116,8 +126,19 @@ def test_series_unreachable_tolerance_raises():
     x8 = np.eye(d_op.dimension)[d_op.indexer.index((8,))]
     with pytest.raises(SeriesToleranceError):
         dense_series(d_op, 2.0, x8, 1e-12, max_terms=3)
-    with pytest.raises(SeriesToleranceError, match="scaled operator 1-norm 2.5"):
-        _series_stop(0.5, 2.5, 1e-15, max_terms=5)
+    assert stop_of(0.5, 2.5, 1e-15, max_terms=5) == (-1, math.inf)
+    # at t = 3e4, a = t/2 * 3 = 45 000 needs more than the 20 000 terms a scan may take:
+    # that cell alone is refused
+    cells = [SphereConfig(N=16, t=t, k=1, ell=2) for t in (1.0, 3e4, 2.0)]
+    x2 = Polynomial.monomial((2,))
+    ok, refused, also_ok = heat_moments(cells, x2, route="series")
+    assert isinstance(refused, SeriesToleranceError)
+    assert str(refused) == ("series did not reach tail 1.25e-14 in 20000 terms at scaled "
+                            "operator 1-norm 3")
+    for cfg, res in ((cells[0], ok), (cells[2], also_ok)):
+        assert res == heat_moment(cfg, x2, route="series")
+    with pytest.raises(SeriesToleranceError, match="scaled operator 1-norm 3"):
+        heat_moment(cells[1], x2, route="series")
     # past degree 170, ||S^-1 b||_1 = sum n! |b_n| exceeds every double: no tail
     # meets the tolerance, and the infinite bound is refused
     cfg = SphereConfig(N=5, t=1e-3, k=1, ell=172)
@@ -143,11 +164,11 @@ def test_series_stop_equals_linear_scan(fnorm, tol):
     # the 40-digit majorant, up to the scan's rounding margin
     ratio = tol / fnorm
     for a in np.geomspace(1e-3, 500.0, 40):
-        n, tail = _series_stop(0.5, 2.0 * a, ratio)
+        n, tail = stop_of(0.5, 2.0 * a, ratio)
         exact = tail_40_digits(a, n)
         assert exact <= tail <= ratio and tail <= exact * (1 + 1e-9), (a, ratio)
         assert tail_40_digits(a, n - 1) > ratio / (1 + 1e-9) or n == 1, (a, ratio)
-    assert _series_stop(0.0, 3.0, ratio) == (0, 0.0)
+    assert stop_of(0.0, 3.0, ratio) == (0, 0.0)
 
 
 def test_series_block_zero_time_and_zero_columns():
@@ -187,10 +208,17 @@ def test_chunked_series_equals_term_by_term_loop(shape, a):
     t = 2.0 * a / norm
     for stop in (n for n in (1, 63, 64, 65, 128, 130) if a < n + 2):
         # 1e-9 above the majorant at the wanted stop, far below it one term earlier
-        assert _series_stop(0.5 * t, norm, float(tail_40_digits(a, stop)) * (1 + 1e-9))[0] == stop
+        assert stop_of(0.5 * t, norm, float(tail_40_digits(a, stop)) * (1 + 1e-9))[0] == stop
         sums, abs_sums = _series_evolve(mat, t, row, stop)
         ref, abs_ref = term_by_term(mat, t, row, stop)
         assert sums.tobytes() == ref.tobytes() and abs_sums.tobytes() == abs_ref.tobytes()
+    # the same stops as one stack: each slice sums only up to its own stop
+    stops = [n for n in (1, 63, 64, 65, 128, 130) if a < n + 2]
+    sums, abs_sums = _series_evolve(np.array([mat] * len(stops)), np.full(len(stops), t),
+                                    np.array([row] * len(stops)), np.array(stops))
+    for stop, got, abs_got in zip(stops, sums, abs_sums):
+        ref, abs_ref = term_by_term(mat, t, row, stop)
+        assert got.tobytes() == ref.tobytes() and abs_got.tobytes() == abs_ref.tobytes()
 
 
 def exp_times_block_60_digits(N, degrees, block, t):
@@ -243,11 +271,11 @@ def test_series_columns_are_within_tail_plus_rounding(case):
     # and of heatop's float matrix
     N, k, alpha, t, rel_tol = case
     parts = _first_coordinate_parts(N, k, ((alpha, Fraction(1)),))
-    if not any(parts):
+    if not any(parts[1]):
         return
     mat, norm, fnorms, pole, block = _prepare(N, parts)
-    degrees = sorted({d for g in parts for n, _ in g for d in range(n % 2, n + 1, 2)})
-    stop, tail = _series_stop(0.5 * t, norm, rel_tol)
+    degrees = sorted({d for g in parts[1] for n, _ in g for d in range(n % 2, n + 1, 2)})
+    stop, tail = stop_of(0.5 * t, norm, rel_tol)
     row, abs_row = _series_evolve(mat, t, pole, stop)
     ref = exp_times_block_60_digits(N, degrees, block, t)
     with mpmath.workdps(60):
@@ -267,7 +295,7 @@ def test_prepare_bounds_the_scaled_norms_from_above(n):
         for alpha in ((12,), (23,), (4, 2, 2), (6, 2, 0), (3, 4, 6))]
     for parts in lattices:
         mat, norm, fnorms, _, block = _prepare(n, parts)
-        degrees = sorted({d for g in parts for m, _ in g for d in range(m % 2, m + 1, 2)})
+        degrees = sorted({d for g in parts[1] for m, _ in g for d in range(m % 2, m + 1, 2)})
         exact = max(abs(Fraction(x)) + (d >= 2) for d, x in zip(degrees, mat.diagonal()))
         assert norm >= exact and math.nextafter(norm, -math.inf) < exact, (n, parts)
         for col, fnorm in zip(block.T, fnorms):
@@ -290,24 +318,30 @@ def series_cells():
 def test_scaled_series_stop_keeps_every_study_value(monkeypatch, series_scans):
     # the factorial-scaled bound stops earlier than the plain 1-norm one (S = I),
     # but every series value of the study grids is the same, bit for bit; on
-    # grid (a) (the first 63 cells) it sums under a third of the terms
+    # grid (a) (the first 63 cells) it sums under a third of the terms.  Each
+    # monomial's cells are one batch, with one scan for all of them
     cells = list(series_cells())
     assert len(cells) == 93
 
-    def series(alpha, n, t):
-        cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha))
-        return heat_moment_monomial(cfg, alpha, route="series").value.hex()
+    def series():
+        values = []
+        for alpha, group in itertools.groupby(cells, key=lambda cell: cell[0]):
+            cfgs = [SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha)) for _, n, t in group]
+            values += [res.value.hex() for res in
+                       heat_moments(cfgs, Polynomial.monomial(alpha), route="series")]
+        return values
 
     def unscaled(N, parts):
         mat, _, _, pole, block = _prepare(N, parts)
         return (mat, float(np.max(np.sum(np.abs(mat), axis=0))),
                 tuple(np.sum(np.abs(block), axis=0)), pole, block)
 
-    scaled = [series(*cell) for cell in cells]
+    scaled = series()
     monkeypatch.setattr(heatop, "_prepare", unscaled)
-    assert [series(*cell) for cell in cells] == scaled
-    terms = [stop for stop, _ in series_scans]
-    assert len(terms) == 2 * 93 and 3 * sum(terms[:63]) <= sum(terms[93:156])
+    assert series() == scaled
+    assert len(series_scans) == 2 * 8
+    terms = np.concatenate([stops for stops, _ in series_scans])
+    assert len(terms) == 2 * 93 and 3 * terms[:63].sum() <= terms[93:156].sum()
 
 
 def test_series_of_x1_to_the_12th_stops_within_100_terms(series_scans):
@@ -317,14 +351,19 @@ def test_series_of_x1_to_the_12th_stops_within_100_terms(series_scans):
 
 
 def test_series_moment_evolves_one_row_with_one_stop(monkeypatch, series_scans):
-    # thirteen parts m^i g_i(y1), one stop scan and one evolved row between them
-    cfg = SphereConfig(N=64, t=1.0, k=3, ell=12)
-    assert len(_first_coordinate_parts(64, 3, (((8, 2, 2), Fraction(1)),))) == 13
+    # thirteen parts m^i g_i(y1), one stop and one evolved row between them for
+    # each cell; a batch of six cells takes one scan and one stack of six rows
+    cfgs = [SphereConfig(N=n, t=t, k=3, ell=12) for n in (64, 256) for t in (0.5, 1.0, 2.0)]
+    assert len(_first_coordinate_parts(64, 3, (((8, 2, 2), Fraction(1)),))[1]) == 13
     rows = []
     monkeypatch.setattr(heatop, "_series_evolve",
                         lambda *args: rows.append(args[2]) or _series_evolve(*args))
-    heat_moment_monomial(cfg, (8, 2, 2), route="series")
-    assert len(series_scans) == 1 and len(rows) == 1 and rows[0].ndim == 1
+    heat_moments(cfgs, Polynomial.monomial((8, 2, 2)), route="series")
+    assert len(series_scans) == 1 and series_scans[0][0].shape == (6,)
+    assert len(rows) == 1 and rows[0].shape == (6, 13)
+    heat_moment_monomial(cfgs[0], (8, 2, 2), route="series")
+    assert len(series_scans) == 2 and series_scans[1][0].shape == (1,)
+    assert len(rows) == 2 and rows[1].shape == (1, 13)
 
 
 def test_series_agrees_with_matexp_on_all_basis_monomials():
@@ -375,7 +414,7 @@ def every_lattice():
     for even in (None, *range(0, 25, 2)):
         for odd in (None, *range(1, 24, 2)):
             if even is not None or odd is not None:
-                yield tuple(((n, Fraction(1)),) for n in (even, odd) if n is not None)
+                yield 1, tuple(((n, 1),) for n in (even, odd) if n is not None)
 
 
 def max_entry_error(value, ref):
@@ -404,8 +443,8 @@ def test_expm_matches_scipy_on_every_lattice(n):
 def test_expm_matches_60_digits_on_the_largest_lattices():
     # the lattices where SciPy strays most: measured worst 6.8e-16
     for n in (16, 1024, 10**6):
-        for parts in ((((24, Fraction(1)),), ((23, Fraction(1)),)),
-                      (((18, Fraction(1)),), ((9, Fraction(1)),))):
+        for parts in ((1, (((24, 1),), ((23, 1),))),
+                      (1, (((18, 1),), ((9, 1),)))):
             a = 2.0 * _prepare(n, parts)[0]
             assert max_entry_error(expm(a), expm_60_digits(a)) <= 4e-15, (n, parts)
 
@@ -719,6 +758,130 @@ def test_matexp_bound_holds_on_the_study_and_small_t_grids():
         assert abs(res.value - exact) <= res.error_bound, (alpha, n, t)
 
 
+def scaling_count(a):
+    """The s of expm's 2^-s scaling for the matrix a."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    return max(0, math.ceil(math.log2(norm / 5.371920351148152))) if norm else 0
+
+
+def per_matrix_expm(a):
+    """expm one matrix at a time, as the package computed it before its stacked form."""
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    s = max(0, math.ceil(math.log2(norm / 5.371920351148152))) if norm else 0
+    x = a * 2.0**-s
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    b = heatop._PADE13
+    eye = np.eye(len(a))
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    j = np.arange(len(a))
+    if a[j[:, None] > j].any():
+        for _ in range(s):
+            r = r @ r
+        return r
+    scales = 2.0 ** -np.arange(s, -1, -1.0)[:, None]
+    h = a.diagonal() * scales
+    d = (h[:, 1:] - h[:, :-1]) / 2
+    sinch = np.divide(np.sinh(d), d, out=np.ones_like(d), where=d != 0)
+    sup = a.diagonal(1) * scales * np.exp(h[:, :-1] + d) * sinch
+    for i, (exp_h, sup_i) in enumerate(zip(np.exp(h), sup)):
+        if i:
+            r = r @ r
+        r[j, j], r[j[:-1], j[1:]] = exp_h, sup_i
+    return r
+
+
+def scalar_series_stop(half_t, norm, ratio, max_terms=20000):
+    """The stop scan one term at a time, as the package computed it before its array
+    form, which raised OverflowError where a tail passes the double range."""
+    a = half_t * norm * (1 + 4 * 2.0**-53)
+    if not a:
+        return 0, 0.0
+    mant, exp2 = math.frexp(a)
+    for n in range(1, max_terms + 1):
+        mant, e = math.frexp(mant * (a / (n + 1)))
+        exp2 += e
+        if n + 2 > a:
+            lead = mant * (n + 2) / (n + 2 - a) * (1 + 4 * (n + 4) * 2.0**-53)
+            try:
+                tail = math.ldexp(lead, exp2) + math.ulp(0.0)
+            except OverflowError:  # an infinite tail meets no ratio
+                continue
+            if tail <= ratio:
+                return n, tail
+    return -1, math.inf
+
+
+def test_stop_scan_over_arrays_equals_the_scalar_scan():
+    # 4 000 slices in one scan, a from 1e-9 to 3000, ratios from 1e-300 to 1: each
+    # (stop, tail) is that of the term-by-term scan, bit for bit
+    rng = np.random.default_rng(23)
+    half_t = 10.0 ** rng.uniform(-9, 3, 4000)
+    norm = 10.0 ** rng.uniform(-1, 0.5, 4000)
+    ratio = 10.0 ** rng.uniform(-300, 0, 4000)
+    stops, tails = _series_stop(half_t, norm, ratio)
+    assert [(int(n), float(x).hex()) for n, x in zip(stops, tails)] == [
+        (n, x.hex()) for n, x in map(scalar_series_stop, half_t, norm, ratio)]
+    # budgets that some slices miss
+    stops, tails = _series_stop(half_t[:200], norm[:200], ratio[:200], max_terms=40)
+    assert list(zip(stops.tolist(), tails.tolist())) == [
+        scalar_series_stop(*args, max_terms=40) for args in zip(half_t, norm, ratio)][:200]
+
+
+def test_stacked_expm_equals_each_matrix_alone():
+    # the lattices of the benchmark's three study grids and of the small-t grid,
+    # one stack per lattice size, and verify's split-check operands (dense upper
+    # triangles) with their transposes, which take the branch for matrices that are
+    # not upper triangular: every slice of a stack is bit for bit the exponential
+    # of its matrix alone
+    cells = list(study_and_small_t_cells()) + [((4, 2), n, 1.0) for n in (32, 256)]
+    stacks = {}
+    for alpha, n, t in cells:
+        mat = _prepare(n, _first_coordinate_parts(n, len(alpha), ((alpha, Fraction(1)),)))[0]
+        stacks.setdefault(len(mat), []).append(0.5 * t * mat)
+    basis = BasisIndexer(2, 6)
+    sum_d2 = operator_from_rule(basis, lambda p: second_derivative_sum(p, [1])).to_float()
+    euler_y = operator_from_rule(basis, lambda p: euler_apply(p, [1])).to_float()
+    split = [a for t in (0.5, 1.0, 2.0)
+             for x_mat, y_mat in [(-0.5 * t * euler_y, 0.5 * t * sum_d2)]
+             for a in (x_mat + y_mat, x_mat, -math.expm1(-t) / t * y_mat)]
+    assert not any(np.tril(a, -1).any() for a in split) and np.triu(split[0], 2).any()
+    stacks[len(split[0])] = split + [a.T for a in split]
+    assert sum(map(len, stacks.values())) == 200 + 18
+    assert max(len({scaling_count(a) for a in stack}) for stack in stacks.values()) >= 5
+    for stack in stacks.values():
+        together = expm(np.array(stack))
+        for a, got in zip(stack, together):
+            for alone in (expm(a), per_matrix_expm(a)):
+                assert [x.hex() for x in got.ravel()] == [x.hex() for x in alone.ravel()]
+
+
+def test_moment_batch_equals_its_cells():
+    # every cell of a batch is the cell computed alone, bit for bit, with its own
+    # refusal: x1^160 overflows on matexp at N = 4096 and on series at both N
+    cases = [((4,), [16, 64, 1024], [0.5, 1.0, 2.0]), ((4, 2, 2), [16, 256], [0.5, 2.0]),
+             ((160,), [16, 4096], [1.0]), ((12,), [16, 10**6], [1e-6, 0.1, 4.0])]
+    for alpha, ns, ts in cases:
+        cfgs = [SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha)) for n in ns for t in ts]
+        f = Polynomial.monomial(alpha)
+        for kwargs in (dict(route="matexp"), dict(route="series"), dict(precision="extended")):
+            for cfg, res in zip(cfgs, heat_moments(cfgs, f, **kwargs)):
+                try:
+                    alone = heat_moment(cfg, f, **kwargs)
+                except (ValueError, SeriesToleranceError) as exc:
+                    assert type(res) is type(exc) and str(res) == str(exc), (alpha, cfg, kwargs)
+                    continue
+                assert (res.value.hex(), res.error_bound.hex()) == (
+                    alone.value.hex(), alone.error_bound.hex()), (alpha, cfg, kwargs)
+    refused = heat_moments([SphereConfig(N=n, t=1.0, k=1, ell=160) for n in (16, 4096)],
+                           Polynomial.monomial((160,)), route="matexp")
+    assert isinstance(refused[0], MomentResult) and isinstance(refused[1], ValueError)
+
+
 def random_moment_cases():
     """300 (alpha, cfg): |alpha| <= 12, k <= 3, N in [4, 4096], t in [0.1, 4]."""
     rng = random.Random(7)
@@ -764,7 +927,7 @@ def test_reduction_equals_lattice_solve_exactly():
 @pytest.mark.parametrize("alpha", [(0, 1), (2, 3), (1, 0, 1), (4, 2, 5)])
 def test_reduced_moment_is_exactly_zero_for_odd_rest_exponents(alpha):
     cfg = SphereConfig(N=16, t=1.0, k=len(alpha), ell=sum(alpha))
-    assert not any(_first_coordinate_parts(cfg.N, cfg.k, ((alpha, Fraction(1)),)))
+    assert not any(_first_coordinate_parts(cfg.N, cfg.k, ((alpha, Fraction(1)),))[1])
     for kwargs in (dict(route="matexp"), dict(route="series"), dict(precision="extended")):
         res = heat_moment_monomial(cfg, alpha, **kwargs)
         assert (res.value, res.error_bound, res.monomial) == (0.0, 0.0, alpha), kwargs
@@ -804,9 +967,29 @@ def test_zero_polynomial_has_zero_moment_on_every_route(route, precision):
     cfg = SphereConfig(N=16, t=1.0, k=2, ell=2)
     res = heat_moment(cfg, Polynomial.zero(2), route=route, precision=precision)
     assert (res.value, res.error_bound, res.monomial) == (0.0, 0.0, None)
-    # a coefficient below the double range: parts that are all 0.0 as floats
+    # a coefficient below the double range: the exact route gives the nearest
+    # double, 0.0; a double route would give 0.0 with bound 0, so it refuses
     tiny = Polynomial.monomial((2, 0), Fraction(1, 10**400))
-    assert heat_moment(cfg, tiny, route=route, precision=precision).value == 0.0
+    if precision == "extended":
+        assert heat_moment(cfg, tiny, route=route, precision=precision).value == 0.0
+    else:
+        with pytest.raises(ValueError, match="rounds to 0.0 in double precision"):
+            heat_moment(cfg, tiny, route=route, precision=precision)
+
+
+@pytest.mark.parametrize("route", ["matexp", "series"])
+def test_double_route_refuses_a_part_coefficient_that_rounds_to_zero(route):
+    cfg = SphereConfig(N=16, t=1.0, k=1, ell=4)
+    tiny = Polynomial.monomial((2,), Fraction(1, 10**400))
+    exact = heat_moment(cfg, tiny, precision="extended")
+    assert (exact.value, exact.error_bound) == (0.0, 5e-324)
+    with pytest.raises(ValueError, match="nonzero part coefficient .* N=16 rounds to 0.0"):
+        heat_moment(cfg, tiny, route=route)
+    # one such coefficient beside ordinary ones is refused as well
+    mixed = Polynomial(1, {(2,): Fraction(1), (4,): Fraction(1, 10**400)})
+    with pytest.raises(ValueError, match="rounds to 0.0"):
+        heat_moment(cfg, mixed, route=route)
+    assert heat_moment(cfg, Polynomial.monomial((2,)), route=route).value > 0
 
 
 def test_shared_memo_results_are_read_only():
@@ -822,10 +1005,18 @@ def test_shared_memo_results_are_read_only():
         finite_moment_x1(4, 16).terms[0, 0] = Fraction(1)
 
 
-def test_moment_memos_are_bounded():
-    for memo in (_first_coordinate_parts, _prepare, eigen_moment_terms, eigen_poly,
-                 eigen_poly_at_sqrtN, monomial_in_eigenbasis, finite_moment_x1):
-        assert memo.cache_info().maxsize is not None, memo
+def test_moment_memos_are_bounded(clear_caches):
+    # every memo a moment fills is bounded, and emptied by cache_clear
+    memos = (_first_coordinate_parts, _prepare, eigen_moment_terms, eigenmethod._eigen_coeffs,
+             eigenmethod._value_at_sqrtN, eigenmethod._monomial_expansion, finite_moment_x1)
+    cfg = SphereConfig(N=16, t=1.0, k=3, ell=8)
+    for kwargs in (dict(precision="extended"), dict(route="series")):
+        heat_moment_monomial(cfg, (4, 2, 2), **kwargs)
+    finite_moment_x1(4, 16)
+    for memo in memos:
+        assert memo.cache_info().maxsize is not None and memo.cache_info().currsize, memo
+    clear_caches()
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
 
 
 def test_extended_moment_of_three_variables_is_fast():
