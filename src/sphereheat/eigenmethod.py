@@ -287,7 +287,7 @@ _MAX_DPS = 2000  # digit budget of one exp-sum
 _TERM_ERROR = 8  # per-term error allowance of an exp-sum pass, in units of its grid 2^g
 
 
-class ExpSumPrecisionError(RuntimeError):
+class ExpSumPrecisionError(ValueError):
     """An exp-sum cancels too far to reach the nearest double within ``_MAX_DPS`` digits."""
 
 
@@ -422,7 +422,6 @@ def _first_coordinate_parts(N: int, k: int, terms: tuple) -> tuple:
     return den, tuple(tuple(sorted((n, a) for n, a in part.items() if a)) for part in parts)
 
 
-@lru_cache(maxsize=256)
 def eigen_moment_terms(N: int, parts: tuple) -> Mapping[tuple[int, int], Fraction]:
     """Exact moment  sum_i m^i E[g_i(y1)] / den  as (j, c) -> w terms, w m^j exp(-c t/N).
 
@@ -433,7 +432,8 @@ def eigen_moment_terms(N: int, parts: tuple) -> Mapping[tuple[int, int], Fractio
     m^d exp(-d (d-1) t/(2N)), the key (d, d (d-1)/2); the drift power m^i adds i
     to j.  The products c_k p_d(sqrt N) / N^(d/2) of every y1^n are taken over
     their least common denominator, and the weights summed in integers.
-    Memoized per (parts, N), so every t shares it; the mapping is read-only.
+    A batch takes it once per (parts, N) for all its t; the mapping is
+    read-only, as :func:`finite_moment_x1` memoizes it.
     The eigenvalues are distinct for N >= 2: lambda_a = lambda_b means
     (a - b) (N - 2 + a + b) = 0.
     """

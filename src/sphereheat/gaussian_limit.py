@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -100,19 +102,26 @@ def gaussian_moment(alpha: Sequence[int], t: float) -> float:
 
     Product over coordinates of (n_j - 1)!! sigma_j^{n_j} for even n_j, and
     zero whenever any exponent is odd; sigma_1^2 = var_first(t) and
-    sigma_j^2 = var_rest(t) for j >= 2.
+    sigma_j^2 = var_rest(t) for j >= 2.  It is taken in doubles while every
+    power, factor and partial product is a normal double, else exactly from the
+    double variances and rounded once (inf past the double range).
     """
     if any(n < 0 for n in alpha):
         raise ValueError("exponents must be nonnegative")
     if any(n % 2 for n in alpha):
         return 0.0
-    out = 1.0
-    for j, n in enumerate(alpha):
-        if n == 0:
-            continue
-        sigma2 = var_first(t) if j == 0 else var_rest(t)
-        out *= even_moment_factor(n) * sigma2 ** (n // 2)
-    return out
+    factors = [(even_moment_factor(n), var_first(t) if j == 0 else var_rest(t), n // 2)
+               for j, n in enumerate(alpha) if n]
+    out, normal = 1.0, True
+    for c, sigma2, h in factors:
+        power = sigma2**h
+        factor = c * power if c <= sys.float_info.max else math.inf
+        out *= factor
+        normal &= all(sys.float_info.min <= x <= sys.float_info.max for x in (power, factor, out))
+    if normal:
+        return out
+    exact = math.prod(c * Fraction(sigma2) ** h for c, sigma2, h in factors)
+    return float(exact) if exact <= sys.float_info.max else math.inf
 
 
 def standard_gaussian_moment(alpha: Sequence[int]) -> float:
@@ -123,7 +132,7 @@ def standard_gaussian_moment(alpha: Sequence[int]) -> float:
     for n in alpha:
         if n:
             out *= even_moment_factor(n)
-    return float(out)
+    return float(out) if out <= sys.float_info.max else math.inf
 
 
 def classical_limit_check(alpha: Sequence[int]) -> float:

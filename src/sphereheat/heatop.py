@@ -4,17 +4,17 @@ The heat-kernel measure is based at the pole and invariant under the
 rotations that fix the first axis, so every moment is one-dimensional:
 the reduction of :mod:`sphereheat.eigenmethod` turns f into exact parts
 g_i of the shifted first coordinate y1 with E f = sum_i m^i E[g_i(y1)].
-The heat operator acts on y1^n through the one-variable part D of the
-sphere Laplacian, so the double routes work on the 1-D lattice of degrees
-D reaches from the parts, and evolve one row, pole exp((t/2) D) with pole
-the base point's sqrt(N)^n, dotted with every part: ``series`` sums its
-power series, stopped once for all parts by a proven tail bound in the
-1-norm of D scaled by diag(1/n!), and ``matexp`` uses :func:`expm`.
-With ``precision="extended"`` the moment is instead the exact sum of the parts'
-eigen expansions from :mod:`sphereheat.eigenmethod`, a polynomial in the
-drift m: sum w m^j exp(-c t/N) with rational w.  What does not depend
-on t (the parts, the lattice, its float operator, the base point values) is
-memoized per (polynomial, N), and no result depends on that cache.
+Of the :data:`ROUTES`, ``eigen`` is the exact sum of the parts' eigen
+expansions from :mod:`sphereheat.eigenmethod`, a polynomial in the drift m:
+sum w m^j exp(-c t/N) with rational w.  The heat operator acts on y1^n
+through the one-variable part D of the sphere Laplacian, so the double
+routes work on the 1-D lattice of degrees D reaches from the parts, and
+evolve one row, pole exp((t/2) D) with pole the base point's sqrt(N)^n,
+dotted with every part: ``series`` sums its power series, stopped once for
+all parts by a proven tail bound in the 1-norm of D scaled by diag(1/n!),
+and ``matexp`` uses :func:`expm`.  Every route refuses a cell with a
+ValueError that gives the reason.  What does not depend on t is memoized
+per (polynomial, N), and no result depends on that cache.
 
 :func:`heat_moments` takes one polynomial at many configurations as one
 batch: the cells whose lattices have the same size run on a stack of them,
@@ -50,9 +50,10 @@ _CHUNK = 64  # series terms buffered between two folds into the running sum
 _MAX_TERMS = 20000  # series terms a stop scan may reach
 _SERIES_TOL = 1e-12  # absolute error the series route's proven bound must meet
 _U = 2.0**-53  # unit roundoff of a double
+ROUTES = ("eigen", "matexp", "series")  # the deterministic moment routes
 
 
-class SeriesToleranceError(RuntimeError):
+class SeriesToleranceError(ValueError):
     """The power series could not reach the requested tolerance."""
 
 
@@ -60,10 +61,10 @@ class SeriesToleranceError(RuntimeError):
 class MomentResult:
     """A heat-kernel moment with provenance.
 
-    ``error_bound`` sums over the parts a proven tail bound (D's 1-norm scaled by
-    diag(1/n!)) plus a rounding estimate for series, and 1e-13 sqrt(N)^deg times
-    the column sums of |exp((t/2) D)| against |b_i| for matexp; it is a standard
-    error for Monte Carlo.  With extended precision the value is the double
+    ``route`` is one of :data:`ROUTES`.  ``error_bound`` sums over the parts a
+    proven tail bound (D's 1-norm scaled by diag(1/n!)) plus a rounding estimate
+    for series, and 1e-13 sqrt(N)^deg times the column sums of |exp((t/2) D)|
+    against |b_i| for matexp.  On the eigen route the value is the double
     nearest the exact moment and the bound half its ulp, rounded up to the
     smallest positive double (0 only for an identically 0 moment).
     """
@@ -263,32 +264,27 @@ def _prepare(N: int, parts: tuple) -> tuple:
     return mat, norm, fnorms, pole, block
 
 
-def heat_moments(
-    cfgs: Sequence[SphereConfig],
-    f: Polynomial,
-    route: str = "matexp",
-    precision: str = "double",
-) -> list:
+def heat_moments(cfgs: Sequence[SphereConfig], f: Polynomial, route: str = "matexp") -> list:
     """Heat-kernel moments of one polynomial, in the unshifted coordinates, at
-    each configuration: one batch, whose entry i is cfgs[i]'s
-    :class:`MomentResult` or the exception that refused that cell.
+    each configuration on one of :data:`ROUTES`: one batch, whose entry i is
+    cfgs[i]'s :class:`MomentResult` or the ValueError that refused that cell.
 
     Pipeline: reduce f to one-variable parts g_i(y1) of the shifted first
     coordinate, E f = sum_i m^i E[g_i(y1)] (the rotation reduction
-    :func:`sphereheat.eigenmethod._first_coordinate_parts`), then evolve the row
-    u = pole exp((t/2) D) on the 1-D lattice of degrees D reaches, and recombine
-    the parts' compensated sums u b_i; with ``precision="extended"``, sum the
-    parts' eigen expansions exactly instead.  The series remainder R_n after
+    :func:`sphereheat.eigenmethod._first_coordinate_parts`), then sum their
+    eigen expansions exactly (``eigen``), or evolve the row u = pole exp((t/2) D)
+    on the 1-D lattice of degrees D reaches and recombine the parts'
+    compensated sums u b_i.  The series remainder R_n after
     term n has |pole R_n b| <= ||pole S||_inf tail(a, n) ||S^-1 b||_1 for S =
     diag(1/n!) (C. Moler and C. Van Loan, SIAM Rev. 45, 2003): one stop serves
     every part.  The bounds and the series tolerance scale with sqrt(N)^deg f,
     the largest value a lattice monomial takes at the base point, so no
     result depends on ``cfg.ell``.  A moment whose parts all vanish (the zero
     polynomial, an odd power of a coordinate beyond the first) is 0 with
-    bound 0 on every route.  In double precision, a sqrt(N)^deg f past the
-    double range, a nonzero part coefficient that rounds to 0.0, or a value or
-    bound that is not finite refuses the cell with a ValueError, and a tail
-    the series cannot reach with a :class:`SeriesToleranceError`.
+    bound 0 on every route.  Refused: on ``eigen``, an exp-sum past its digit
+    budget; on a double route, a sqrt(N)^deg f past the double range, a nonzero
+    part coefficient that rounds to 0.0, a value or bound that is not finite,
+    or a series tail out of reach.
 
     The cells that share a lattice size are evaluated together, on a stack of
     their lattices: one :func:`expm`, or one stop scan and one series of rows
@@ -300,12 +296,8 @@ def heat_moments(
             raise ValueError(f"polynomial has {f.varcount} variables, config k={cfg.k}")
         if f.degree() > cfg.ell:
             raise ValueError(f"degree {f.degree()} exceeds basis cap {cfg.ell}")
-    if route not in ("matexp", "series"):
+    if route not in ROUTES:
         raise ValueError(f"unsupported route {route!r} for the operator pipeline")
-    if precision not in ("double", "extended"):
-        raise ValueError(f"unknown precision {precision!r}")
-    if precision == "extended" and route != "matexp":
-        raise ValueError("extended precision is provided for the matexp route")
 
     alpha = next(iter(f.terms)) if len(f.terms) == 1 else None
     terms = tuple(sorted(f.terms.items()))
@@ -319,7 +311,7 @@ def heat_moments(
         if not any(parts[1]):
             for i in cells:
                 out[i] = MomentResult(0.0, route, 0.0, cfgs[i], alpha)
-        elif precision == "extended":
+        elif route == "eigen":
             exact = eigen_moment_terms(N, parts)
             for i in cells:
                 try:
@@ -402,22 +394,21 @@ def _double_moments(route: str, cfgs: list, prepared: tuple, scale_out: tuple, a
     return out
 
 
-def heat_moment(
-    cfg: SphereConfig,
-    f: Polynomial,
-    route: str = "matexp",
-    precision: str = "double",
-) -> MomentResult:
+def heat_moment(cfg: SphereConfig, f: Polynomial, route: str = "matexp",
+                precision: str = "double") -> MomentResult:
     """Heat-kernel moment of a polynomial in the unshifted coordinates: the
-    one-cell batch of :func:`heat_moments`, raising the exception that refuses it."""
-    (result,) = heat_moments([cfg], f, route=route, precision=precision)
+    one-cell batch of :func:`heat_moments`, raising the ValueError that refuses it.
+    ``precision="extended"`` with route "matexp" is route "eigen"."""
+    if precision != "double" and (precision, route) != ("extended", "matexp"):
+        raise ValueError(f"unknown precision {precision!r} for route {route!r}")
+    route = "eigen" if precision == "extended" else route  # as benchmarks/tracing.py spells it
+    (result,) = heat_moments([cfg], f, route)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def heat_moment_monomial(
-    cfg: SphereConfig, alpha: Exponents, route: str = "matexp", precision: str = "double"
-) -> MomentResult:
+def heat_moment_monomial(cfg: SphereConfig, alpha: Exponents, route: str = "matexp"
+                         ) -> MomentResult:
     """Convenience wrapper for a single monomial x^alpha."""
-    return heat_moment(cfg, Polynomial.monomial(alpha), route=route, precision=precision)
+    return heat_moment(cfg, Polynomial.monomial(alpha), route=route)

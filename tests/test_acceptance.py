@@ -112,7 +112,7 @@ def test_criterion_03_exact_second_moments():
             first_vals = [
                 heat_moment_monomial(cfg1, (2,), route=r).value
                 for r in ("matexp", "series")
-            ] + [heat_moment_monomial(cfg1, (2,), precision="extended").value]
+            ] + [heat_moment_monomial(cfg1, (2,), route="eigen").value]
             exact_first = x1sq_closed_form(n, t)
             worst_first = max(worst_first, *(abs(v - exact_first) for v in first_vals))
             worst_pair = max(
@@ -137,7 +137,7 @@ def test_criterion_04_limit_convergence_rate():
                     v = heat_moment_monomial(cfg, alpha).value
                 else:
                     cfg = SphereConfig(N=n, t=t, k=1, ell=4)
-                    v = heat_moment_monomial(cfg, alpha[:1], precision="extended").value
+                    v = heat_moment_monomial(cfg, alpha[:1], route="eigen").value
                 errs.append(abs(v - gaussian_moment(alpha, t)))
             slope = float(np.polyfit(np.log(n_sweep), np.log(errs), 1)[0])
             slopes[(alpha, t)] = slope
@@ -157,7 +157,7 @@ def test_criterion_04_limit_convergence_rate():
     )
 
     cfg = SphereConfig(N=512, t=1.0, k=1, ell=2)
-    err512 = abs(heat_moment_monomial(cfg, (2,), precision="extended").value
+    err512 = abs(heat_moment_monomial(cfg, (2,), route="eigen").value
                  - gaussian_moment((2,), 1.0))
     asymptotic = math.exp(-1.0) / 2.0 / 512.0
     asym_ok = abs(err512 - asymptotic) / asymptotic <= 0.10
@@ -285,7 +285,7 @@ def test_criterion_09_monte_carlo_concordance():
             ends = mc_endpoints(mc)
             for alpha in alphas:
                 est = mc_moment(mc, alpha, endpoints=ends)
-                ref = heat_moment_monomial(cfg, alpha, precision="extended").value
+                ref = heat_moment_monomial(cfg, alpha, route="eigen").value
                 allowance = 3 * est.stderr + 10.0 * h  # documented O(h) bias
                 if abs(est.mean - ref) > allowance:
                     fails.append((n, t, alpha, est.mean, ref))

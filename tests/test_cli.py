@@ -14,6 +14,7 @@ from sphereheat import eigenmethod
 from sphereheat.cli import CSV_HEADER, StudySpec, main, run_study, write_csv
 from sphereheat.heatop import heat_moment_monomial
 from sphereheat.operators import SphereConfig
+from sphereheat.polyalg import Polynomial
 
 
 def render_csv(rows) -> str:
@@ -52,8 +53,7 @@ def test_study_rate_is_one_half_when_only_the_first_exponent_is_odd():
         monomials=[(3,), (1, 2), (2,)],
         n_values=[256, 1024, 4096],
         t_values=[1.0],
-        routes=["matexp"],
-        precision="extended",
+        routes=["eigen"],
     )
     rates = {r.monomial: r.fitted_rate for r in run_study(spec) if r.fitted_rate is not None}
     assert rates.keys() == {(3, 0), (1, 2), (2, 0)}
@@ -87,8 +87,17 @@ def test_eigen_route_covers_rest_monomials():
     )
     rows = run_study(spec)
     cfg = SphereConfig(N=8, t=1.0, k=2, ell=2)
-    assert rows[0].value == heat_moment_monomial(cfg, (0, 2), precision="extended").value
+    assert rows[0].value == heat_moment_monomial(cfg, (0, 2), route="eigen").value
     assert rows[0].reason is None
+
+
+def test_extended_study_runs_its_matexp_rows_on_the_eigen_route():
+    # the benchmark's study grid (c) spells the exact route this way
+    grid = dict(monomials=[(4, 2)], n_values=[32, 256], t_values=[0.5, 1.0])
+    extended = run_study(StudySpec(**grid, routes=["matexp"], precision="extended"))
+    eigen = run_study(StudySpec(**grid, routes=["eigen"]))
+    assert [r.route for r in extended] == ["matexp"] * 4
+    assert [r.value.hex() for r in extended] == [r.value.hex() for r in eigen]
 
 
 def test_csv_rerun_is_byte_identical():
@@ -178,6 +187,9 @@ def test_spec_validation():
         StudySpec(monomials=[(2, 0)], n_values=[8], t_values=[-1.0], routes=["matexp"])
     with pytest.raises(ValueError):
         StudySpec(monomials=[(2, 0)], n_values=[8], t_values=[1.0], routes=["x"])
+    with pytest.raises(ValueError, match="extended precision is provided for the matexp route"):
+        StudySpec(monomials=[(2, 0)], n_values=[8], t_values=[1.0], routes=["matexp", "series"],
+                  precision="extended")
 
 
 def test_spec_pads_monomials_to_the_longest():
@@ -537,8 +549,18 @@ def test_benchmark_trace_finds_every_name_it_wraps(monkeypatch):
     for name in ("cli", "eigenmethod", "gaussian_limit", "heatop", "operators",
                  "pde_appendix", "polyalg", "sphere_mc", "verify"):
         importlib.import_module(f"sphereheat.{name}")
-    restore = tracing.instrument(tracing.Tracer(), sphereheat)
-    restore()
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer, sphereheat)
+    try:  # the moment span reads heat_moment's route and precision arguments
+        cfg, f = SphereConfig(N=16, t=1.0, k=1, ell=4), Polynomial.monomial((4,))
+        sphereheat.heatop.heat_moment(cfg, f)
+        sphereheat.heatop.heat_moment(cfg, f, precision="extended")
+    finally:
+        restore()
+    spans = [s["attrs"] for s in tracer.spans if s["name"] == "heatop.moment"]
+    assert [(a["route"], a["precision"]) for a in spans] == [
+        ("matexp", "double"), ("matexp", "extended")]
+    assert spans[1]["value"] == heat_moment_monomial(cfg, (4,), route="eigen").value
     assert SphereConfig(N=4, t=1.0, k=2, ell=2).ell == 2
 
 

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -164,6 +166,27 @@ def test_moments_match_quadrature_up_to_degree_six():
         for alpha in alphas:
             q = density_moment_quadrature(params, alpha, order=60)
             assert q == pytest.approx(gaussian_moment(alpha, t), abs=1e-7), alpha
+
+
+def test_high_degree_moments_are_within_1e_10_of_50_digits():
+    # x1^n and x2^n for n <= 400: the double product underflows to 0 from n = 300
+    # at t = 0.1, and (n-1)!! passes the double range from n = 320; inf only past it
+    with mpmath.workdps(50):
+        for t in (0.1, 0.5, 1.0, 4.0):
+            tt = mpmath.mpf(t)
+            variances = (1 - mpmath.exp(-tt) - tt * mpmath.exp(-tt), 1 - mpmath.exp(-tt))
+            for n in range(0, 401, 2):
+                for alpha, var in (((n,), variances[0]), ((0, n), variances[1])):
+                    ref = even_moment_factor(n) * var ** (n // 2)
+                    got = gaussian_moment(alpha, t)
+                    if ref > mpmath.mpf(sys.float_info.max):
+                        assert got == math.inf, (alpha, t)
+                    else:
+                        assert abs(got - ref) <= 1e-10 * ref, (alpha, t)
+        for n in range(0, 401, 2):
+            ref = even_moment_factor(n)
+            got = standard_gaussian_moment((n,))
+            assert got == (math.inf if ref > sys.float_info.max else float(ref)), n
 
 
 def test_classical_limit_examples():

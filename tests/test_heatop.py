@@ -19,12 +19,12 @@ from sphereheat.eigenmethod import (
     eigenvalue,
     eigen_poly,
     eigen_poly_at_sqrtN,
-    evaluate_exp_sum,
     finite_moment_x1,
     monomial_in_eigenbasis,
 )
 from sphereheat import eigenmethod, heatop
 from sphereheat.heatop import (
+    ROUTES,
     MomentResult,
     SeriesToleranceError,
     _first_coordinate_parts,
@@ -618,6 +618,9 @@ def test_moment_result_provenance_fields():
     cfg = SphereConfig(N=8, t=1.0, k=2, ell=2)
     res = heat_moment_monomial(cfg, (2, 0))
     assert res.route == "matexp"
+    # the exact route names itself, under either spelling
+    assert heat_moment_monomial(cfg, (2, 0), route="eigen").route == "eigen"
+    assert heat_moment(cfg, Polynomial.monomial((2, 0)), precision="extended").route == "eigen"
     assert res.monomial == (2, 0)
     assert res.error_bound >= 0
     assert res.config == cfg
@@ -681,7 +684,7 @@ def test_extended_moment_matches_dense_reference(k, n, include_mixed_term):
     for alpha in all_alphas(k, 6):
         ref = dense_reference_moment(cfg, alpha, exp_mat, op.indexer)
         if include_mixed_term:
-            res = heat_moment_monomial(cfg, alpha, precision="extended")
+            res = heat_moment_monomial(cfg, alpha, route="eigen")
             value, bound = res.value, res.error_bound
         else:  # the decoupled D + E, which only the lattice solve covers
             value, bound = lattice_moment(cfg, alpha, include_mixed_term=False)
@@ -691,7 +694,7 @@ def test_extended_moment_matches_dense_reference(k, n, include_mixed_term):
 
 
 def test_extended_moment_builds_no_matrix(monkeypatch):
-    # no route or precision of a moment touches the dense degree-ell operator
+    # no route of a moment touches the dense degree-ell operator
     def refuse(*args, **kwargs):
         raise AssertionError("moments must not use a dense operator")
 
@@ -702,13 +705,11 @@ def test_extended_moment_builds_no_matrix(monkeypatch):
     # the correctly rounded exact moments of x1^4 x2^2 at t = 1
     for n, exact in ((32, 0.15434637790695147), (256, 0.13533309216925252)):
         cfg = SphereConfig(N=n, t=1.0, k=2, ell=6)
-        assert heat_moment_monomial(cfg, (4, 2), precision="extended").value == exact
+        assert heat_moment_monomial(cfg, (4, 2), route="eigen").value == exact
         for route in ("matexp", "series"):
             # the matexp bound does not cover rounding yet, so it is not checked here
             assert heat_moment_monomial(cfg, (4, 2), route=route).value == pytest.approx(
                 exact, rel=1e-9), route
-    with pytest.raises(ValueError):
-        heat_moment_monomial(cfg, (4, 2), route="series", precision="extended")
 
 
 @pytest.mark.parametrize("route", ["matexp", "series"])
@@ -719,15 +720,6 @@ def test_moment_does_not_depend_on_the_degree_cap(alpha, n, route):
         for ell in (sum(alpha), sum(alpha) + 6)
     )
     assert (a.value, a.error_bound) == (b.value, b.error_bound)
-
-
-@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("alpha,n", [((12,), 64), ((4, 2, 2), 16)])
-def test_series_bound_covers_rounding(alpha, n, t):
-    cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha))
-    exact = heat_moment_monomial(cfg, alpha, precision="extended").value
-    res = heat_moment_monomial(cfg, alpha, route="series")
-    assert abs(res.value - exact) <= res.error_bound
 
 
 def study_and_small_t_cells():
@@ -745,17 +737,6 @@ def study_and_small_t_cells():
         for n in (16, 1024, 10**6):
             for t in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6):
                 yield (p,), n, t
-
-
-def test_matexp_bound_holds_on_the_study_and_small_t_grids():
-    # smallest bound/error ratio measured: 17 992, at x1^2, N = 16, t = 0.1
-    cells = list(study_and_small_t_cells())
-    assert len(cells) == 198
-    for alpha, n, t in cells:
-        cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha))
-        exact = heat_moment_monomial(cfg, alpha, precision="extended").value
-        res = heat_moment_monomial(cfg, alpha)
-        assert abs(res.value - exact) <= res.error_bound, (alpha, n, t)
 
 
 def scaling_count(a):
@@ -868,15 +849,15 @@ def test_moment_batch_equals_its_cells():
     for alpha, ns, ts in cases:
         cfgs = [SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha)) for n in ns for t in ts]
         f = Polynomial.monomial(alpha)
-        for kwargs in (dict(route="matexp"), dict(route="series"), dict(precision="extended")):
-            for cfg, res in zip(cfgs, heat_moments(cfgs, f, **kwargs)):
+        for route in ROUTES:
+            for cfg, res in zip(cfgs, heat_moments(cfgs, f, route)):
                 try:
-                    alone = heat_moment(cfg, f, **kwargs)
-                except (ValueError, SeriesToleranceError) as exc:
-                    assert type(res) is type(exc) and str(res) == str(exc), (alpha, cfg, kwargs)
+                    alone = heat_moment(cfg, f, route)
+                except ValueError as exc:
+                    assert type(res) is type(exc) and str(res) == str(exc), (alpha, cfg, route)
                     continue
                 assert (res.value.hex(), res.error_bound.hex()) == (
-                    alone.value.hex(), alone.error_bound.hex()), (alpha, cfg, kwargs)
+                    alone.value.hex(), alone.error_bound.hex()), (alpha, cfg, route)
     refused = heat_moments([SphereConfig(N=n, t=1.0, k=1, ell=160) for n in (16, 4096)],
                            Polynomial.monomial((160,)), route="matexp")
     assert isinstance(refused[0], MomentResult) and isinstance(refused[1], ValueError)
@@ -893,19 +874,38 @@ def random_moment_cases():
                                   ell=max(deg, 1))
 
 
-def test_series_bound_holds_on_random_moments():
-    # against the exact route
+def contract_cells():
+    """(alpha, cfg) of the route contract: the study and small-t grids, x1^12 at
+    N = 64 and x1^4 x2^2 x3^2 at N = 16 for t in {0.5, 1, 2}, and the random
+    moments, each cell once."""
+    cells = {(alpha, n, t): SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha))
+             for alpha, n, t in itertools.chain(
+                 study_and_small_t_cells(),
+                 ((alpha, n, t) for alpha, n in (((12,), 64), ((4, 2, 2), 16))
+                  for t in (0.5, 1.0, 2.0)))}
     for alpha, cfg in random_moment_cases():
-        exact = heat_moment_monomial(cfg, alpha, precision="extended").value
-        res = heat_moment_monomial(cfg, alpha, route="series")
-        assert abs(res.value - exact) <= res.error_bound, (alpha, cfg)
+        cells.setdefault((alpha, cfg.N, cfg.t), cfg)
+    return [(alpha, cfg) for (alpha, _, _), cfg in cells.items()]
 
 
-def test_exp_sum_is_within_its_bound_on_extended_route_terms(within_300_digit_sum):
-    for alpha, cfg in random_moment_cases():
-        terms = exact_terms(cfg.N, alpha)
-        value, bound = evaluate_exp_sum(terms, cfg.N, cfg.t)
-        assert within_300_digit_sum(terms, cfg.N, cfg.t, value, bound), (alpha, cfg)
+def test_every_route_meets_its_bound_or_refuses(sum_300_digits):
+    # each route refuses a cell with a reason or has |value - exact| <= bound, the
+    # exact value from the independent lattice solve summed at 300 digits; the
+    # eigen bound is half an ulp, rounded up to a double
+    cells = contract_cells()
+    assert len(cells) == 499
+    for alpha, cfg in cells:
+        exact = sum_300_digits(lattice_terms(cfg.N, cfg.k, ((alpha, Fraction(1)),)), cfg.N, cfg.t)
+        for route in ROUTES:
+            (res,) = heat_moments([cfg], Polynomial.monomial(alpha), route)
+            if isinstance(res, ValueError):
+                assert str(res), (alpha, cfg, route)
+                continue
+            assert res.route == route
+            with mpmath.workdps(300):
+                assert abs(mpmath.mpf(res.value) - exact) <= res.error_bound, (alpha, cfg, route)
+            if route == "eigen":
+                assert res.error_bound <= max(0.5 * math.ulp(res.value), math.ulp(0.0)), (alpha, cfg)
 
 
 def exact_terms(N, alpha):
@@ -928,9 +928,9 @@ def test_reduction_equals_lattice_solve_exactly():
 def test_reduced_moment_is_exactly_zero_for_odd_rest_exponents(alpha):
     cfg = SphereConfig(N=16, t=1.0, k=len(alpha), ell=sum(alpha))
     assert not any(_first_coordinate_parts(cfg.N, cfg.k, ((alpha, Fraction(1)),))[1])
-    for kwargs in (dict(route="matexp"), dict(route="series"), dict(precision="extended")):
-        res = heat_moment_monomial(cfg, alpha, **kwargs)
-        assert (res.value, res.error_bound, res.monomial) == (0.0, 0.0, alpha), kwargs
+    for route in ROUTES:
+        res = heat_moment_monomial(cfg, alpha, route)
+        assert (res.value, res.error_bound, res.monomial, res.route) == (0.0, 0.0, alpha, route)
 
 
 def test_heat_moment_has_no_mixed_term_switch():
@@ -947,18 +947,18 @@ def test_two_dimensional_sphere_matches_lattice_solve():
             lattice_terms(2, 1, (((n,), Fraction(1)),)), 2), n
         for t in (0.3, 1.0, 2.5):
             cfg = SphereConfig(N=2, t=t, k=1, ell=12)
-            res = heat_moment_monomial(cfg, (n,), precision="extended")
+            res = heat_moment_monomial(cfg, (n,), route="eigen")
             value, bound = lattice_moment(cfg, (n,))
             assert abs(res.value - value) <= res.error_bound + bound, (n, t)
 
 
 def test_moments_do_not_depend_on_cache_state(clear_caches):
     for alpha, cfg in random_moment_cases():
-        for kwargs in (dict(precision="extended"), dict(route="series"), dict(route="matexp")):
+        for route in ROUTES:
             clear_caches()
-            cold, warm = (heat_moment_monomial(cfg, alpha, **kwargs) for _ in range(2))
+            cold, warm = (heat_moment_monomial(cfg, alpha, route) for _ in range(2))
             assert [cold.value.hex(), cold.error_bound.hex()] == [
-                warm.value.hex(), warm.error_bound.hex()], (alpha, cfg, kwargs)
+                warm.value.hex(), warm.error_bound.hex()], (alpha, cfg, route)
 
 
 @pytest.mark.parametrize("route,precision",
@@ -981,7 +981,7 @@ def test_zero_polynomial_has_zero_moment_on_every_route(route, precision):
 def test_double_route_refuses_a_part_coefficient_that_rounds_to_zero(route):
     cfg = SphereConfig(N=16, t=1.0, k=1, ell=4)
     tiny = Polynomial.monomial((2,), Fraction(1, 10**400))
-    exact = heat_moment(cfg, tiny, precision="extended")
+    exact = heat_moment(cfg, tiny, route="eigen")
     assert (exact.value, exact.error_bound) == (0.0, 5e-324)
     with pytest.raises(ValueError, match="nonzero part coefficient .* N=16 rounds to 0.0"):
         heat_moment(cfg, tiny, route=route)
@@ -1007,11 +1007,11 @@ def test_shared_memo_results_are_read_only():
 
 def test_moment_memos_are_bounded(clear_caches):
     # every memo a moment fills is bounded, and emptied by cache_clear
-    memos = (_first_coordinate_parts, _prepare, eigen_moment_terms, eigenmethod._eigen_coeffs,
+    memos = (_first_coordinate_parts, _prepare, eigenmethod._eigen_coeffs,
              eigenmethod._value_at_sqrtN, eigenmethod._monomial_expansion, finite_moment_x1)
     cfg = SphereConfig(N=16, t=1.0, k=3, ell=8)
-    for kwargs in (dict(precision="extended"), dict(route="series")):
-        heat_moment_monomial(cfg, (4, 2, 2), **kwargs)
+    for route in ("eigen", "series"):
+        heat_moment_monomial(cfg, (4, 2, 2), route)
     finite_moment_x1(4, 16)
     for memo in memos:
         assert memo.cache_info().maxsize is not None and memo.cache_info().currsize, memo
@@ -1022,7 +1022,7 @@ def test_moment_memos_are_bounded(clear_caches):
 def test_extended_moment_of_three_variables_is_fast():
     cfg = SphereConfig(N=64, t=1.0, k=3, ell=8)
     start = time.perf_counter()
-    ext = heat_moment_monomial(cfg, (4, 2, 2), precision="extended")
+    ext = heat_moment_monomial(cfg, (4, 2, 2), route="eigen")
     assert time.perf_counter() - start < 1.0
     dbl = heat_moment_monomial(cfg, (4, 2, 2))
     assert abs(ext.value - dbl.value) <= dbl.error_bound
@@ -1031,7 +1031,7 @@ def test_extended_moment_of_three_variables_is_fast():
 def test_extended_precision_matches_double_when_well_conditioned():
     cfg = SphereConfig(N=8, t=1.0, k=1, ell=4)
     a = heat_moment_monomial(cfg, (2,))
-    b = heat_moment_monomial(cfg, (2,), precision="extended")
+    b = heat_moment_monomial(cfg, (2,), route="eigen")
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
@@ -1048,3 +1048,5 @@ def test_degree_and_varcount_validation():
                     precision="extended")
     with pytest.raises(ValueError):
         heat_moment(cfg, Polynomial.monomial((1, 0)), precision="single")
+    with pytest.raises(TypeError):  # the exact route is route="eigen"
+        heat_moment_monomial(cfg, (1, 0), precision="extended")
