@@ -19,6 +19,7 @@ from sphereheat.eigenmethod import (
     eigenvalue,
     eigen_poly,
     eigen_poly_at_sqrtN,
+    evaluate_exp_sum,
     finite_moment_x1,
     monomial_in_eigenbasis,
 )
@@ -722,6 +723,15 @@ def test_moment_does_not_depend_on_the_degree_cap(alpha, n, route):
     assert (a.value, a.error_bound) == (b.value, b.error_bound)
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("alpha,n", [((12,), 64), ((4, 2, 2), 16)])
+def test_series_bound_covers_rounding(alpha, n, t):
+    cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha))
+    exact = heat_moment_monomial(cfg, alpha, route="eigen").value
+    res = heat_moment_monomial(cfg, alpha, route="series")
+    assert abs(res.value - exact) <= res.error_bound
+
+
 def study_and_small_t_cells():
     """The benchmark's study grids (a) and (b), 93 cells, and the 105-cell small-t
     grid of x1^n: (alpha, N, t)."""
@@ -737,6 +747,17 @@ def study_and_small_t_cells():
         for n in (16, 1024, 10**6):
             for t in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6):
                 yield (p,), n, t
+
+
+def test_matexp_bound_holds_on_the_study_and_small_t_grids():
+    # smallest bound/error ratio measured: 17 992, at x1^2, N = 16, t = 0.1
+    cells = list(study_and_small_t_cells())
+    assert len(cells) == 198
+    for alpha, n, t in cells:
+        cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha))
+        exact = heat_moment_monomial(cfg, alpha, route="eigen").value
+        res = heat_moment_monomial(cfg, alpha)
+        assert abs(res.value - exact) <= res.error_bound, (alpha, n, t)
 
 
 def scaling_count(a):
@@ -872,6 +893,21 @@ def random_moment_cases():
         alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
         yield alpha, SphereConfig(N=rng.randint(4, 4096), t=rng.uniform(0.1, 4.0), k=k,
                                   ell=max(deg, 1))
+
+
+def test_series_bound_holds_on_random_moments():
+    # against the exact route
+    for alpha, cfg in random_moment_cases():
+        exact = heat_moment_monomial(cfg, alpha, route="eigen").value
+        res = heat_moment_monomial(cfg, alpha, route="series")
+        assert abs(res.value - exact) <= res.error_bound, (alpha, cfg)
+
+
+def test_exp_sum_is_within_its_bound_on_extended_route_terms(within_300_digit_sum):
+    for alpha, cfg in random_moment_cases():
+        terms = exact_terms(cfg.N, alpha)
+        value, bound = evaluate_exp_sum(terms, cfg.N, cfg.t)
+        assert within_300_digit_sum(terms, cfg.N, cfg.t, value, bound), (alpha, cfg)
 
 
 def contract_cells():
