@@ -43,28 +43,6 @@ class DegenerateParameterError(ValueError):
     """Sphere parameter too small for the closed-form machinery."""
 
 
-def falling(z, j: int) -> Fraction:
-    """Falling factorial z (z-1) ... (z-j+1), exact."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    out = Fraction(1)
-    z = Fraction(z)
-    for i in range(j):
-        out *= z - i
-    return out
-
-
-def rising(z, j: int) -> Fraction:
-    """Rising factorial z (z+1) ... (z+j-1), exact."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    out = Fraction(1)
-    z = Fraction(z)
-    for i in range(j):
-        out *= z + i
-    return out
-
-
 def _require_regular_n(N: int) -> None:
     if N < 2:
         raise DegenerateParameterError(
@@ -193,39 +171,6 @@ def pw_product_form(n: int, N: int) -> Fraction:
     half = n // 2
     return Fraction(math.prod(range(N - 1, N - 1 + 2 * half, 2)),
                     math.prod(range(N + 2 * n - 4, N + 2 * n - 4 - 2 * half, -2)))
-
-
-def pw_simplified_form(n: int, N: int) -> Fraction:
-    """The compact form (N-1)^(n rising) / (2^n (N/2)^(n rising)) of
-    p_n(sqrt(N)) / N^(n/2), which is t0(n) at j = 0.
-
-    This form does not match direct evaluation for n >= 1 (already p_1
-    gives (N-1)/N instead of 1): it is prod_(i<n) (N-1+i) / (N+2i), the
-    product of :func:`evaluation_ratio` over 1 <= i <= n, which carries the
-    direct value 1 of degree 1 to that of degree n+1.  It is exposed solely
-    so the mismatch can be reported; all computation uses
-    :func:`pw_product_form`.
-    """
-    return t0_exact(0, n, N)
-
-
-@dataclass(frozen=True)
-class PwDiscrepancy:
-    n: int
-    direct: Fraction
-    simplified: Fraction
-
-    @property
-    def matches(self) -> bool:
-        return self.direct == self.simplified
-
-
-def pw_discrepancy_report(n_max: int, N: int) -> list[PwDiscrepancy]:
-    """Compare the direct evaluation with the simplified form for n <= n_max."""
-    return [
-        PwDiscrepancy(n, eigen_poly_at_sqrtN(n, N), pw_simplified_form(n, N))
-        for n in range(n_max + 1)
-    ]
 
 
 def evaluation_ratio(n: int, N: int) -> Fraction:
@@ -473,12 +418,18 @@ def finite_moment_x1(n: int, N: int) -> FiniteMomentX1:
 
 
 def t0_exact(j: int, h: int, N: int) -> Fraction:
-    """Exact rational t0(h) = (N-1)^(h rising) / (2^h (N/2)^((h+j) rising))."""
+    """Exact rational t0(h) = (N-1)^(h rising) / (2^h (N/2)^((h+j) rising))
+    = 2^j prod_(i<h) (N - 1 + i) / prod_(i<h+j) (N + 2i).
+
+    At j = 0 it is the paper's compact form of p_h(sqrt N) / N^(h/2), which is
+    exactly the value :func:`eigen_poly_at_sqrtN` of degree h + 1, not h.
+    """
     if j < 0 or h < 0:
         raise ValueError("j and h must be >= 0")
     if N < 2:
         raise ValueError("N must be >= 2")
-    return rising(N - 1, h) / (2**h * rising(Fraction(N, 2), h + j))
+    return Fraction(2**j * math.prod(range(N - 1, N - 1 + h)),
+                    math.prod(range(N, N + 2 * (h + j), 2)))
 
 
 def _poly_eval_frac(coeffs: Sequence[Fraction], x) -> Fraction:

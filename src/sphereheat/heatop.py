@@ -264,7 +264,7 @@ def _prepare(N: int, parts: tuple) -> tuple:
     return mat, norm, fnorms, pole, block
 
 
-def heat_moments(cfgs: Sequence[SphereConfig], f: Polynomial, route: str = "matexp") -> list:
+def heat_moments(cfgs: Sequence[SphereConfig], f: Polynomial, route: str = "eigen") -> list:
     """Heat-kernel moments of one polynomial, in the unshifted coordinates, at
     each configuration on one of :data:`ROUTES`: one batch, whose entry i is
     cfgs[i]'s :class:`MomentResult` or the ValueError that refused that cell.
@@ -394,7 +394,7 @@ def _double_moments(route: str, cfgs: list, prepared: tuple, scale_out: tuple, a
     return out
 
 
-def heat_moment(cfg: SphereConfig, f: Polynomial, route: str = "matexp",
+def heat_moment(cfg: SphereConfig, f: Polynomial, route: str = "eigen",
                 precision: str = "double") -> MomentResult:
     """Heat-kernel moment of a polynomial in the unshifted coordinates: the
     one-cell batch of :func:`heat_moments`, raising the ValueError that refuses it.
@@ -408,7 +408,7 @@ def heat_moment(cfg: SphereConfig, f: Polynomial, route: str = "matexp",
     return result
 
 
-def heat_moment_monomial(cfg: SphereConfig, alpha: Exponents, route: str = "matexp"
+def heat_moment_monomial(cfg: SphereConfig, alpha: Exponents, route: str = "eigen"
                          ) -> MomentResult:
     """Convenience wrapper for a single monomial x^alpha."""
     return heat_moment(cfg, Polynomial.monomial(alpha), route=route)

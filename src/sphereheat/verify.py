@@ -1,9 +1,7 @@
 """Self-contained invariant suites behind the ``verify`` CLI subcommand.
 
 Each suite runs a bundle of exact identities and numeric consistency checks
-at desk scale and reports one line per check.  A WARN entry marks an
-expected mismatch (documented and counted as passing); FAIL means a real
-violation.
+at desk scale and reports one line per check, PASS or FAIL.
 """
 
 from __future__ import annotations
@@ -39,12 +37,12 @@ SUITES = ("operators", "eigen", "gaussian", "pde", "mc")
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    status: str  # PASS, WARN, FAIL
+    status: str  # PASS, FAIL
     detail: str
 
     @property
     def ok(self) -> bool:
-        return self.status in ("PASS", "WARN")
+        return self.status == "PASS"
 
 
 def _check(name: str, ok: bool, detail: str) -> CheckResult:
@@ -135,33 +133,22 @@ def run_eigen_suite() -> list[CheckResult]:
 
     with _check_in(out, "product form equals direct evaluation (n<=12, N<=100)") as report:
         product_ok = all(
-            em.eigen_poly_at_sqrtN(n, N) == em.pw_product_form(n, N)
+            em.pw_product_form(n, N)
+            == sum(c / Fraction(N) ** j for j, c in enumerate(em.eigen_poly(n, N).coeffs))
             for N in range(3, 101)
             for n in range(13)
         )
-        report(product_ok, "exact rational identity")
+        report(product_ok, "exact rational identity against sum_j c_j N^-j of p_n")
 
-    with _check_in(out, "simplified-form discrepancy report") as report:
-        report_rows = em.pw_discrepancy_report(4, 10)
-        mismatch_small = [r.n for r in report_rows if not r.matches and r.n in (1, 2)]
-        shifted = all(
-            em.pw_simplified_form(n, 10) == em.eigen_poly_at_sqrtN(n + 1, 10)
-            for n in range(5)
-        )
-        detail = "; ".join(
-            f"n={r.n}: direct {r.direct} vs simplified {r.simplified}"
-            for r in report_rows
-            if not r.matches
-        )
-        if mismatch_small == [1, 2] and shifted:
-            out.append(CheckResult(
-                "simplified closed form for p_n(sqrt N) disagrees with direct values",
-                "WARN",
-                "expected mismatch (the compact form equals the degree n+1 value); "
-                "computation uses the product form; " + detail,
-            ))
-        else:
-            report(False, detail)
+    with _check_in(out, "compact form t0(n) at j=0 is the degree n+1 value") as report:
+        shifted = all(em.t0_exact(0, n, N) == em.eigen_poly_at_sqrtN(n + 1, N)
+                      for N in (3, 10, 100) for n in range(13))
+        unshifted = all(em.t0_exact(0, n, N) != em.eigen_poly_at_sqrtN(n, N)
+                        for N in (3, 10, 100) for n in (1, 2))
+        report(shifted and unshifted,
+               "n<=12, N in {3,10,100}; at N=10, t0(n) = value(n+1) vs value(n): " + "; ".join(
+                   f"n={n}: {em.t0_exact(0, n, 10)} vs {em.eigen_poly_at_sqrtN(n, 10)}"
+                   for n in range(1, 5)))
 
     with _check_in(out, "value ratio parity-independent: (N+n-2)/(N+2n-2)") as report:
         ratio_ok = all(
@@ -206,7 +193,7 @@ def run_eigen_suite() -> list[CheckResult]:
                 cfg = SphereConfig(N=N, t=t, k=1, ell=6)
                 for n in range(7):
                     ev = em.finite_moment_x1(n, N).evaluate_extended(t)
-                    mv = heat_moment_monomial(cfg, (n,)).value  # double matexp on the lattice
+                    mv = heat_moment_monomial(cfg, (n,), route="matexp").value
                     worst = max(worst, abs(ev - mv))
         report(worst <= 1e-9, f"max |difference| = {worst:.2e} (n <= 6)")
     return out

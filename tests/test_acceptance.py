@@ -7,6 +7,7 @@ paths and dominates the runtime (a couple of minutes on two cores).
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from sphereheat.eigenmethod import (
     eigen_poly,
     eigen_poly_at_sqrtN,
     monomial_in_eigenbasis,
-    pw_discrepancy_report,
     pw_product_form,
     t0_exact,
     t0_series,
@@ -211,28 +211,23 @@ def test_criterion_06_eigen_machinery():
             monomial_in_eigenbasis(n, n_sphere)  # raises if round trip breaks
 
     product_ok = all(
-        eigen_poly_at_sqrtN(n, n_sphere) == pw_product_form(n, n_sphere)
+        pw_product_form(n, n_sphere)
+        == sum(c / Fraction(n_sphere) ** j for j, c in enumerate(eigen_poly(n, n_sphere).coeffs))
         for n_sphere in range(3, 101)
         for n in range(13)
     )
 
-    report_rows = pw_discrepancy_report(2, 10)
-    mismatch_ok = (
-        report_rows[0].matches
-        and not report_rows[1].matches
-        and not report_rows[2].matches
-    )
+    # the paper's compact form is t0(n) at j = 0: it agrees at n = 0 and not at n = 1, 2
+    compact = [t0_exact(0, n, 10) == eigen_poly_at_sqrtN(n, 10) for n in range(3)]
     elapsed = time.monotonic() - start
-    ok = relation_ok and product_ok and mismatch_ok and elapsed < 10.0
-    report(6, ok, f"eigen relation, basis round trip, product form exact; "
-                  f"simplified form mismatch at n=1,2 reported (expected); "
+    ok = relation_ok and product_ok and compact == [True, False, False] and elapsed < 10.0
+    report(6, ok, f"eigen relation, basis round trip, product form against direct sum exact; "
+                  f"compact form t0(n) differs from the degree n value at n=1,2; "
                   f"{elapsed:.1f}s")
 
 
 def test_criterion_07_t0_power_series():
     lead_ok = True
-    from fractions import Fraction
-
     for j in (0, 1, 2):
         sc = t0_series(j, 4)
         for ell in range(5):

@@ -417,6 +417,7 @@ def test_verify_subcommand_exit_zero(capsys):
 
 def test_verify_reports_a_broken_constructor_identity_as_fail(monkeypatch, capsys,
                                                               clear_caches):
+    # the product-form check fails by its own comparison with the direct sum, and
     # eigen_poly_at_sqrtN asserts that its product form agrees with direct evaluation;
     # each check runs on its own, so the checks that do not call it still pass
     product_form = eigenmethod.pw_product_form
@@ -433,14 +434,15 @@ def test_verify_reports_a_broken_constructor_identity_as_fail(monkeypatch, capsy
     assert [line.split("  (")[0].split(None, 1) for line in out.splitlines()[1:-1]] == [
         ["PASS", "eigen-relation and basis round trip exact (n<=12)"],
         ["FAIL", "product form equals direct evaluation (n<=12, N<=100)"],
-        ["FAIL", "simplified-form discrepancy report"],
+        ["FAIL", "compact form t0(n) at j=0 is the degree n+1 value"],
         ["FAIL", "value ratio parity-independent: (N+n-2)/(N+2n-2)"],
         ["PASS", "eigenvalues pairwise distinct"],
         ["PASS", "series leading coefficients (-1)^l 2^(j-l)/l!"],
         ["PASS", "series remainder scales like N^-(L+1+j)"],
         ["FAIL", "eigen route matches operator route"],
     ]
-    assert out.count("AssertionError: product form disagrees") == 4
+    assert "FAIL product form equals direct evaluation (n<=12, N<=100)  (exact" in out
+    assert out.count("AssertionError: product form disagrees") == 3
 
 
 def test_usage_error_exits_two():
@@ -553,8 +555,8 @@ def test_benchmark_trace_finds_every_name_it_wraps(monkeypatch):
     restore = tracing.instrument(tracer, sphereheat)
     try:  # the moment span reads heat_moment's route and precision arguments
         cfg, f = SphereConfig(N=16, t=1.0, k=1, ell=4), Polynomial.monomial((4,))
-        sphereheat.heatop.heat_moment(cfg, f)
-        sphereheat.heatop.heat_moment(cfg, f, precision="extended")
+        sphereheat.heatop.heat_moment(cfg, f, route="matexp")
+        sphereheat.heatop.heat_moment(cfg, f, route="matexp", precision="extended")
     finally:
         restore()
     spans = [s["attrs"] for s in tracer.spans if s["name"] == "heatop.moment"]

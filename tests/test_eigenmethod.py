@@ -18,13 +18,9 @@ from sphereheat.eigenmethod import (
     eigenvalues_distinct,
     evaluate_exp_sum,
     evaluation_ratio,
-    falling,
     finite_moment_x1,
     monomial_in_eigenbasis,
-    pw_discrepancy_report,
     pw_product_form,
-    pw_simplified_form,
-    rising,
     t0_exact,
     t0_series,
 )
@@ -36,17 +32,9 @@ from sphereheat.polyalg import Polynomial, shift_first_variable_powers
 from lattice_reference import lattice_moment
 
 
-# ----------------------------------------------------------------------
-# factorials
-# ----------------------------------------------------------------------
-
-
-def test_falling_and_rising_factorials():
-    assert falling(5, 3) == 60
-    assert falling(Fraction(7, 2), 2) == Fraction(35, 4)
-    assert falling(4, 0) == 1
-    assert rising(3, 3) == 60
-    assert rising(Fraction(1, 2), 2) == Fraction(3, 4)
+def falling(z, j):
+    """Falling factorial z (z-1) ... (z-j+1), exact."""
+    return math.prod((Fraction(z) - i for i in range(j)), start=Fraction(1))
 
 
 # ----------------------------------------------------------------------
@@ -118,9 +106,12 @@ def test_normalized_values_low_degree():
 
 
 def test_product_form_matches_direct_evaluation():
-    for n_sphere in (3, 10, 100):
-        for n in range(13):
-            assert eigen_poly_at_sqrtN(n, n_sphere) == pw_product_form(n, n_sphere)
+    # the product form against sum_j c_j N^-j over the coefficients of p_n
+    for n_sphere in (2, 3, 10, 100, 4096):
+        for n in range(41):
+            direct = sum(c / Fraction(n_sphere) ** j
+                         for j, c in enumerate(eigen_poly(n, n_sphere).coeffs))
+            assert pw_product_form(n, n_sphere) == direct, (n, n_sphere)
     # spot check n=4, N=10 against a hand evaluation of the polynomial
     p4 = eigen_poly(4, 10).polynomial()
     direct = sum(
@@ -130,11 +121,10 @@ def test_product_form_matches_direct_evaluation():
 
 
 def test_simplified_form_mismatch_is_reported():
-    report = pw_discrepancy_report(4, 10)
-    assert report[0].matches  # n = 0 agrees
-    assert not report[1].matches and not report[2].matches
-    assert pw_simplified_form(1, 10) == Fraction(9, 10)  # direct value is 1
-    assert pw_simplified_form(2, 10) == Fraction(9, 12)  # direct value is 9/10
+    # the compact form is t0(n) at j = 0
+    assert t0_exact(0, 0, 10) == eigen_poly_at_sqrtN(0, 10)  # n = 0 agrees
+    assert t0_exact(0, 1, 10) == Fraction(9, 10) != eigen_poly_at_sqrtN(1, 10) == 1
+    assert t0_exact(0, 2, 10) == Fraction(9, 12) != eigen_poly_at_sqrtN(2, 10) == Fraction(9, 10)
 
 
 def test_simplified_form_is_the_next_degrees_value():
@@ -142,9 +132,7 @@ def test_simplified_form_is_the_next_degrees_value():
     # the direct value at degree n+1 exactly
     for n_sphere in (3, 10, 100):
         for n in range(12):
-            assert pw_simplified_form(n, n_sphere) == eigen_poly_at_sqrtN(
-                n + 1, n_sphere
-            )
+            assert t0_exact(0, n, n_sphere) == eigen_poly_at_sqrtN(n + 1, n_sphere)
 
 
 def test_evaluation_ratio_parity_independent():
@@ -452,7 +440,8 @@ def test_cross_route_agreement():
                 # the double-precision operator route hits its conditioning
                 # floor ~ m^n * 1e-13 at n >= 6
                 if n < 6 and n_sphere <= 64:
-                    worst = max(worst, abs(ev - heat_moment_monomial(cfg, (n,)).value))
+                    mv = heat_moment_monomial(cfg, (n,), route="matexp").value
+                    worst = max(worst, abs(ev - mv))
     assert worst <= 1e-9
 
 

@@ -143,7 +143,7 @@ def test_series_unreachable_tolerance_raises():
     # past degree 170, ||S^-1 b||_1 = sum n! |b_n| exceeds every double: no tail
     # meets the tolerance, and the infinite bound is refused
     cfg = SphereConfig(N=5, t=1e-3, k=1, ell=172)
-    assert math.isfinite(heat_moment_monomial(cfg, (172,)).value)
+    assert math.isfinite(heat_moment_monomial(cfg, (172,), route="matexp").value)
     with pytest.raises(ValueError, match="not finite"):
         heat_moment_monomial(cfg, (172,), route="series")
 
@@ -617,11 +617,12 @@ def test_small_time_limit_is_point_evaluation():
 
 def test_moment_result_provenance_fields():
     cfg = SphereConfig(N=8, t=1.0, k=2, ell=2)
-    res = heat_moment_monomial(cfg, (2, 0))
+    res = heat_moment_monomial(cfg, (2, 0), route="matexp")
     assert res.route == "matexp"
-    # the exact route names itself, under either spelling
-    assert heat_moment_monomial(cfg, (2, 0), route="eigen").route == "eigen"
-    assert heat_moment(cfg, Polynomial.monomial((2, 0)), precision="extended").route == "eigen"
+    # the exact route is the default and names itself, under either spelling
+    assert heat_moment_monomial(cfg, (2, 0)).route == "eigen"
+    assert heat_moment(cfg, Polynomial.monomial((2, 0)), route="matexp",
+                       precision="extended").route == "eigen"
     assert res.monomial == (2, 0)
     assert res.error_bound >= 0
     assert res.config == cfg
@@ -756,7 +757,7 @@ def test_matexp_bound_holds_on_the_study_and_small_t_grids():
     for alpha, n, t in cells:
         cfg = SphereConfig(N=n, t=t, k=len(alpha), ell=sum(alpha))
         exact = heat_moment_monomial(cfg, alpha, route="eigen").value
-        res = heat_moment_monomial(cfg, alpha)
+        res = heat_moment_monomial(cfg, alpha, route="matexp")
         assert abs(res.value - exact) <= res.error_bound, (alpha, n, t)
 
 
@@ -1060,13 +1061,13 @@ def test_extended_moment_of_three_variables_is_fast():
     start = time.perf_counter()
     ext = heat_moment_monomial(cfg, (4, 2, 2), route="eigen")
     assert time.perf_counter() - start < 1.0
-    dbl = heat_moment_monomial(cfg, (4, 2, 2))
+    dbl = heat_moment_monomial(cfg, (4, 2, 2), route="matexp")
     assert abs(ext.value - dbl.value) <= dbl.error_bound
 
 
 def test_extended_precision_matches_double_when_well_conditioned():
     cfg = SphereConfig(N=8, t=1.0, k=1, ell=4)
-    a = heat_moment_monomial(cfg, (2,))
+    a = heat_moment_monomial(cfg, (2,), route="matexp")
     b = heat_moment_monomial(cfg, (2,), route="eigen")
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
