@@ -20,7 +20,8 @@ another, and ``SPHEREHEAT_THREADS`` sizes only the process pool of an
 ``mc`` cell.  Floats are printed with 17 significant digits, a fixed
 seed makes reruns byte-identical, and a cell refused by a ValueError keeps
 its reason, which ``moment`` and ``study`` print (the latter on stderr, so
-the CSV does not change) and ``mc`` reports as an error.
+the CSV does not change) and ``mc`` reports as an error.  A study takes each
+limit once per (monomial, t), and fits each rate in closed form.
 """
 
 from __future__ import annotations
@@ -164,9 +165,11 @@ def run_study(spec: StudySpec) -> list[StudyRow]:
     (N, t) cells, in canonical row order."""
     rows = []
     cells = list(itertools.product(spec.n_values, spec.t_values))
+    limits = {(alpha, t): gaussian_moment(alpha, t) for alpha in spec.monomials
+              for t in spec.t_values}
     for alpha, route in itertools.product(spec.monomials, spec.routes):
         for (n, t), (value, stderr, reason) in zip(cells, _route_values(spec, alpha, route, cells)):
-            rows.append(StudyRow(alpha, n, t, route, value, gaussian_moment(alpha, t),
+            rows.append(StudyRow(alpha, n, t, route, value, limits[alpha, t],
                                  stderr=stderr, reason=reason))
     rows.sort(key=lambda r: (r.monomial, r.N, r.t, r.route))
     _fill_rates(rows)
@@ -174,23 +177,22 @@ def run_study(spec: StudySpec) -> list[StudyRow]:
 
 
 def _fill_rates(rows: list[StudyRow]) -> None:
-    """Fit err ~ C N^(-rate) per (monomial, t, route); annotate the last row."""
+    """Fit err ~ C N^(-rate) per (monomial, t, route) to the rows of finite positive
+    err, least squares in closed form over math.fsum sums; annotate the largest N."""
     groups: dict[tuple, list[StudyRow]] = {}
     for r in rows:
-        groups.setdefault((r.monomial, r.t, r.route), []).append(r)
+        if r.abs_error is not None and 0 < r.abs_error < math.inf:
+            groups.setdefault((r.monomial, r.t, r.route), []).append(r)
     for group in groups.values():
-        pts = [
-            (r.N, r.abs_error)
-            for r in group
-            if r.abs_error is not None and r.abs_error > 0 and math.isfinite(r.abs_error)
-        ]
-        if len(pts) < 2 or len({n for n, _ in pts}) < 2:
+        if len({r.N for r in group}) < 2:
             continue
-        logn = np.log([n for n, _ in pts])
-        loge = np.log([e for _, e in pts])
-        slope = float(np.polyfit(logn, loge, 1)[0])
-        final = max(group, key=lambda r: r.N)
-        final.fitted_rate = -slope
+        x = [math.log(r.N) for r in group]
+        y = [math.log(r.abs_error) for r in group]
+        x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+        dx = [a - x_mean for a in x]
+        slope = (math.fsum(d * (b - y_mean) for d, b in zip(dx, y))
+                 / math.fsum(d * d for d in dx))
+        max(group, key=lambda r: r.N).fitted_rate = -slope
 
 
 def write_csv(rows: list[StudyRow], stream) -> None:

@@ -7,7 +7,9 @@ lambda_n = -n (1 + (n-2)/N).  Expanding a monomial over that family,
 applying exp((t/2) D) eigenvalue by eigenvalue, and evaluating at sqrt(N)
 yields finite-N moments in closed form, polynomials in the drift
 m = sqrt(N) exp((t/2)(1/N - 1)): sums of rationals times m^j exp(-c t/N),
-which :func:`evaluate_exp_sum` adds exactly from powers of m and exp(-t/N).
+integers over one common denominator, which :func:`evaluate_exp_sum` adds
+exactly from chains of cut integer products of m and exp(-t/N), for all t of
+one sum at once and with one division.
 The one exact derivation of the package is two steps: the rotation
 reduction :func:`_first_coordinate_parts` turns a polynomial into parts in
 the shifted first coordinate, and :func:`eigen_moment_terms` sums their
@@ -33,7 +35,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-import mpmath
+from mpmath.libmp import (from_float, from_int, mpf_div, mpf_exp, mpf_mul, mpf_sqrt,
+                          round_nearest as _NEAR)
 
 from .gaussian_limit import even_moment_factor
 from .polyalg import Polynomial
@@ -244,47 +247,113 @@ def evaluate_exp_sum(
 
     The value is the double nearest the exact sum, and the bound is half its
     ulp, rounded up to a double (the smallest positive one where half an ulp
-    is not a double), so it is never 0.  The
-    terms can cancel from their largest magnitude 10^top down to an O(1)
-    result or far below, so a pass carries dps = ceil(top) + guard digits:
-    m, e = exp(-t/N) and each distinct power of them are taken once at P
-    bits, each term is truncated to an integer multiple of the grid 2^g,
-    2^-11 10^(top - dps) < 2^g <= 2^-10 10^(top - dps), and the integers are
-    summed exactly.  The exact sum lies within err = 8 (#terms) grid units of
-    that integer total; when total - err and total + err round to the same
-    double, so does the exact sum, and that double is returned (a zero keeps
-    its sign only when both ends agree on it).  Otherwise the guard digits
-    double, from 30; past ``_MAX_DPS`` digits it raises
-    :class:`ExpSumPrecisionError`.
+    is not a double), so it is never 0.  It is the one-t call of
+    :func:`_exp_sums` over the weights' least common denominator, and raises
+    its :class:`ExpSumPrecisionError`.
+    """
+    den = math.lcm(*(w.denominator for w in terms.values()))
+    (result,) = _exp_sums((den, {key: w.numerator * (den // w.denominator)
+                                 for key, w in terms.items()}), N, [t])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _exp_sums(exact: tuple, N: int, ts: Sequence[float]) -> list:
+    """For each t of ``ts``, the (value, bound) of :func:`evaluate_exp_sum` of the
+    sum of a m^j exp(-c t/N) / den over ``exact`` = (den, {(j, c): a}), in
+    integers, a nonzero, or the :class:`ExpSumPrecisionError` that refuses it.
+
+    The terms can cancel from their largest magnitude 10^top down to an O(1)
+    result or far below, so a pass carries dps = ceil(top) + guard digits: m
+    and e = exp(-t/N) are taken once at P bits, and every distinct m^j and e^c
+    is built from them by products of integer mantissas cut to P bits.  Each
+    integer a m^j e^c is truncated to a multiple of the grid 2^g,
+    2^-11 10^(top - dps) < 2^g <= 2^-10 10^(top - dps), and their sum divided
+    once by den, rounding down.  The exact sum lies within err = 8 (#terms)
+    grid units of that total; when total - err and total + err round to the
+    same double, so does the exact sum, and that double is returned (a zero
+    keeps its sign only when both ends agree on it).  Otherwise the guard
+    digits double, from 30; past ``_MAX_DPS`` digits the cell is refused.  The
+    weights' log10 and the sorted distinct j and c are taken once for all t.
 
     Error: with u = 2^(1-P), each rounded operation is within u.  The
     argument t (1-N)/(2N), below t/2 in size, takes two roundings, so m is
     within (3 + t) u with its exp, sqrt(N) and product; -t/N takes one, so e
-    is within (1 + t) u.  A power x^j of a base within a u is within
-    (j a + 1) u and a term's products are exact, so its transcendental
-    factor is within K u, K = (3 + T) j + (1 + T) c + 8 with T = ceil(t) (in
-    integers, as t may be near the double range), the 8 covering both
-    powers' roundings and every second-order term.  P is dps digits plus
-    bit_length(K) + 11 bits, so K u < 2^-10 10^-dps, and a term below
-    2 10^top (top is a float estimate) is off by less than 2^-9 10^(top - dps),
-    under 4 grid units; the floor of its truncation adds under 1 more.
+    is within (1 + t) u.  A power x^k reached by q cut products from a base
+    within a u is within (k a + q) u, and q < k, as the products form a tree
+    over k copies of the base; the product a m^j e^c is exact.  So a term's
+    factor m^j e^c is within K u, K = (3 + T) j + (1 + T) c + q_j + q_c + 8
+    <= (4 + T) j + (2 + T) c + 8 with T = ceil(t) (in integers, as t may be
+    near the double range), the 8 covering every second-order term.  P is
+    dps digits plus bit_length(K) + 11 bits at the largest j and c, so
+    K u < 2^-10 10^-dps, and a term below 2 10^top (top is a float estimate)
+    is off by less than 2^-9 10^(top - dps), under 4 grid units; truncating
+    den times it adds under 1/den unit, and the one division under 1 more.
     """
-    log10_m = math.log10(N) / 2 + t * (1 / N - 1) / (2 * math.log(10))
-    top = max((  # log10 of the largest term
-        math.log10(abs(w.numerator)) - math.log10(w.denominator)
-        + j * log10_m - c * t / (N * math.log(10))
-        for (j, c), w in terms.items()
-    ), default=0.0)
-    err = _TERM_ERROR * len(terms)
-    guard = 30
-    while (dps := max(math.ceil(top), 0) + guard) <= _MAX_DPS:
-        total, g = _exp_sum_at(terms, N, t, top, dps)
-        lo, hi = _grid_float(total - err, g), _grid_float(total + err, g)
-        if lo == hi:
-            value = lo if lo else lo + hi
-            return value, max(0.5 * math.ulp(value), math.ulp(0.0))
-        guard *= 2
-    raise ExpSumPrecisionError(f"exp-sum at N={N}, t={t} cancels past {_MAX_DPS} digits")
+    den, ints = exact
+    js, cs = sorted({j for j, _ in ints}), sorted({c for _, c in ints})
+    j_at, c_at = {j: i for i, j in enumerate(js)}, {c: i for i, c in enumerate(cs)}
+    terms = [(a, j_at[j], c_at[c]) for (j, c), a in ints.items()]  # positions in js, cs
+    log10_w = [(math.log10(abs(a)) - math.log10(den), j, c) for (j, c), a in ints.items()]
+    j_top, c_top = max(js, default=0), max(cs, default=0)
+    err, out = _TERM_ERROR * len(terms), []
+    for t in ts:
+        log10_m = math.log10(N) / 2 + t * (1 / N - 1) / (2 * math.log(10))
+        log10_e = -t / (N * math.log(10))
+        top = max((w + j * log10_m + c * log10_e for w, j, c in log10_w),
+                  default=0.0)  # log10 of the largest term
+        t_up = math.ceil(t)
+        k_max = (4 + t_up) * j_top + (2 + t_up) * c_top + 8
+        guard = 30
+        while (dps := max(math.ceil(top), 0) + guard) <= _MAX_DPS:
+            prec = math.ceil(dps * math.log2(10)) + k_max.bit_length() + 11
+            arg = mpf_div(mpf_mul(from_float(t), from_int(1 - N), prec, _NEAR),
+                          from_int(2 * N), prec, _NEAR)
+            m = mpf_mul(mpf_sqrt(from_int(N), prec, _NEAR), mpf_exp(arg, prec, _NEAR),
+                        prec, _NEAR)
+            e = mpf_exp(mpf_div(from_float(-t), from_int(N), prec, _NEAR), prec, _NEAR)
+            (m_man, m_exp), (e_man, e_exp) = _powers(m, js, prec), _powers(e, cs, prec)
+            g = math.floor((top - dps) * math.log2(10)) - 10
+            total = 0
+            for a, j, c in terms:
+                shift, term = m_exp[j] + e_exp[c] - g, a * m_man[j] * e_man[c]
+                total += term << shift if shift >= 0 else term >> -shift
+            total //= den
+            lo, hi = _grid_float(total - err, g), _grid_float(total + err, g)
+            if lo == hi:
+                value = lo if lo else lo + hi
+                out.append((value, max(0.5 * math.ulp(value), math.ulp(0.0))))
+                break
+            guard *= 2
+        else:
+            out.append(ExpSumPrecisionError(
+                f"exp-sum at N={N}, t={t} cancels past {_MAX_DPS} digits"))
+    return out
+
+
+def _powers(base: tuple, exps: Sequence[int], prec: int) -> tuple[list[int], list[int]]:
+    """Mantissas and exponents of x^k for each k of the ascending ``exps``, x the
+    positive raw mpmath number ``base`` (sign, mantissa, exponent, bit count):
+    each power is the one before times x^gap, x^gap a binary power over the
+    squares x^(2^i), every product of mantissas cut to ``prec`` bits."""
+    squares = [(base[1], base[2])]  # (mantissa, exponent) of x^(2^i)
+    man, exp, have, mans, exps_out = 1, 0, 0, [], []
+    for k in exps:
+        gap = k - have
+        for i in range(gap.bit_length()):
+            if i == len(squares):
+                x = squares[-1][0] ** 2
+                cut = max(x.bit_length() - prec, 0)
+                squares.append((x >> cut, 2 * squares[-1][1] + cut))
+            if gap >> i & 1:
+                x = man * squares[i][0]
+                cut = max(x.bit_length() - prec, 0)
+                man, exp = x >> cut, exp + squares[i][1] + cut
+        mans.append(man)
+        exps_out.append(exp)
+        have = k
+    return mans, exps_out
 
 
 def _grid_float(total: int, g: int) -> float:
@@ -292,28 +361,6 @@ def _grid_float(total: int, g: int) -> float:
     if total.bit_length() + g <= -1075:  # below half the least subnormal, even at a huge -g
         return math.copysign(0.0, total)
     return total / (1 << -g) if g < 0 else float(total << g)
-
-
-def _exp_sum_at(terms: Mapping, N: int, t: float, top: float, dps: int) -> tuple[int, int]:
-    """The exp-sum of :func:`evaluate_exp_sum` at dps digits, largest term 10^top,
-    as an integer total on the grid 2^g: (total, g)."""
-    t_up = math.ceil(t)
-    k_max = max(((3 + t_up) * j + (1 + t_up) * c for j, c in terms), default=0) + 8
-    g = math.floor((top - dps) * math.log2(10)) - 10
-    with mpmath.workprec(math.ceil(dps * math.log2(10)) + k_max.bit_length() + 11):
-        tt = mpmath.mpf(t)
-        m, e = mpmath.sqrt(N) * mpmath.exp(tt * (1 - N) / (2 * N)), mpmath.exp(-tt / N)
-        m_pow = {j: (m**j).man_exp for j in {j for j, _ in terms}}  # (mantissa, exponent)
-        e_pow = {c: (e**c).man_exp for c in {c for _, c in terms}}
-    total = 0
-    for (j, c), w in terms.items():
-        (mm, em), (me, ee) = m_pow[j], e_pow[c]
-        shift = em + ee - g
-        if shift >= 0:
-            total += (w.numerator * mm * me << shift) // w.denominator
-        else:
-            total += (w.numerator * mm * me >> -shift) // w.denominator
-    return total, g
 
 
 @dataclass(frozen=True)
@@ -368,7 +415,16 @@ def _first_coordinate_parts(N: int, k: int, terms: tuple) -> tuple:
 
 
 def eigen_moment_terms(N: int, parts: tuple) -> Mapping[tuple[int, int], Fraction]:
-    """Exact moment  sum_i m^i E[g_i(y1)] / den  as (j, c) -> w terms, w m^j exp(-c t/N).
+    """Exact moment  sum_i m^i E[g_i(y1)] / den  as (j, c) -> w terms, w m^j exp(-c t/N):
+    those of :func:`_eigen_moment_sum` as Fractions, in a read-only mapping, as
+    :func:`finite_moment_x1` memoizes it."""
+    den, ints = _eigen_moment_sum(N, parts)
+    return MappingProxyType({key: Fraction(a, den) for key, a in ints.items()})
+
+
+def _eigen_moment_sum(N: int, parts: tuple) -> tuple[int, dict[tuple[int, int], int]]:
+    """Exact moment  sum_i m^i E[g_i(y1)] / den  as integers over one denominator:
+    (den', {(j, c): a}) with the moment sum a m^j exp(-c t/N) / den', each a nonzero.
 
     ``parts`` is (den, parts) from :func:`_first_coordinate_parts`: ``parts[i]``
     holds the (n, a) pairs of g_i = sum a y1^n.  Each y1^n is expanded over the
@@ -377,8 +433,7 @@ def eigen_moment_terms(N: int, parts: tuple) -> Mapping[tuple[int, int], Fractio
     m^d exp(-d (d-1) t/(2N)), the key (d, d (d-1)/2); the drift power m^i adds i
     to j.  The products c_k p_d(sqrt N) / N^(d/2) of every y1^n are taken over
     their least common denominator, and the weights summed in integers.
-    A batch takes it once per (parts, N) for all its t; the mapping is
-    read-only, as :func:`finite_moment_x1` memoizes it.
+    A batch takes it once per (parts, N) and evaluates it for all its t.
     The eigenvalues are distinct for N >= 2: lambda_a = lambda_b means
     (a - b) (N - 2 + a + b) = 0.
     """
@@ -398,7 +453,7 @@ def eigen_moment_terms(N: int, parts: tuple) -> Mapping[tuple[int, int], Fractio
             for d, w in weights[n]:
                 key = (i + d, d * (d - 1) // 2)
                 terms[key] = terms.get(key, 0) + a * w
-    return MappingProxyType({k: Fraction(w, den * common) for k, w in terms.items() if w})
+    return den * common, {key: a for key, a in terms.items() if a}
 
 
 @lru_cache(maxsize=1024)

@@ -6,14 +6,14 @@ the reduction of :mod:`sphereheat.eigenmethod` turns f into exact parts
 g_i of the shifted first coordinate y1 with E f = sum_i m^i E[g_i(y1)].
 Of the :data:`ROUTES`, ``eigen`` is the exact sum of the parts' eigen
 expansions from :mod:`sphereheat.eigenmethod`, a polynomial in the drift m:
-sum w m^j exp(-c t/N) with rational w.  The heat operator acts on y1^n
-through the one-variable part D of the sphere Laplacian, so the double
-routes work on the 1-D lattice of degrees D reaches from the parts, and
-evolve one row, pole exp((t/2) D) with pole the base point's sqrt(N)^n,
-dotted with every part: ``series`` sums its power series, stopped once for
-all parts by a proven tail bound in the 1-norm of D scaled by diag(1/n!),
-and ``matexp`` uses :func:`expm`.  Every route refuses a cell with a
-ValueError that gives the reason.  What does not depend on t is memoized
+sum w m^j exp(-c t/N) with rational w, evaluated by one exp-sum call for all t
+of one N.  The heat operator acts on y1^n through the one-variable part D of
+the sphere Laplacian, so the double routes work on the 1-D lattice of
+degrees D reaches from the parts, and evolve one row, pole exp((t/2) D) with
+pole the base point's sqrt(N)^n, dotted with every part: ``series`` sums its
+power series, stopped once for all parts by a proven tail bound in the 1-norm
+of D scaled by diag(1/n!), and ``matexp`` uses :func:`expm`.  Every route
+refuses a cell with a ValueError that gives the reason.  What does not depend on t is memoized
 per (polynomial, N), and no result depends on that cache.
 
 :func:`heat_moments` takes one polynomial at many configurations as one
@@ -40,8 +40,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from .eigenmethod import (ExpSumPrecisionError, _first_coordinate_parts, eigen_moment_terms,
-                          eigenvalue, evaluate_exp_sum)
+from .eigenmethod import _eigen_moment_sum, _exp_sums, _first_coordinate_parts
 from .operators import OperatorMatrix, SphereConfig
 from .polyalg import Exponents, Polynomial
 
@@ -127,8 +126,10 @@ def _series_evolve(mat: np.ndarray, t, row: np.ndarray, stop) -> tuple:
 
     Terms are written in chunks below a row that holds the running sum, and
     each chunk is folded into it by ``np.add.accumulate``, which adds in term
-    order: the sums are those of a term-by-term loop, bit for bit.  A slice's
-    terms past its own stop are -0.0, which leaves every sum as it is.
+    order: the sums are those of a term-by-term loop, bit for bit.  Before a
+    chunk is folded, a slice's terms past its own stop are overwritten by -0.0,
+    which leaves every sum as it is; until then they may overflow, which
+    :func:`_double_moments` runs with its floating-point warnings off.
     """
     half_t, stop = 0.5 * np.asarray(t, dtype=float)[..., None], np.asarray(stop)
     last = int(stop.max(initial=0))
@@ -137,11 +138,12 @@ def _series_evolve(mat: np.ndarray, t, row: np.ndarray, stop) -> tuple:
     terms[0], abs_terms[0] = row, np.abs(row)
     term = row
     for first in range(1, last + 1, _CHUNK):
-        rows = min(_CHUNK, last + 1 - first)
-        for j, n in enumerate(range(first, first + rows), 1):
+        n = np.arange(first, min(first + _CHUNK, last + 1))
+        factors, rows = half_t / n, len(n)  # term n: the term before, times mat and (t/2)/n
+        for j in range(1, rows + 1):
             term = np.matmul(term[..., None, :], mat, out=terms[j, ..., None, :])[..., 0, :]
-            term *= half_t / n
-            term[stop < n] = -0.0
+            term *= factors[..., j - 1, None]
+        terms[1:rows + 1][stop < n.reshape((-1,) + (1,) * stop.ndim)] = -0.0
         np.abs(terms[1:rows + 1], out=abs_terms[1:rows + 1])
         terms[0] = np.add.accumulate(terms[:rows + 1])[-1]
         abs_terms[0] = np.add.accumulate(abs_terms[:rows + 1])[-1]
@@ -244,7 +246,7 @@ def _prepare(N: int, parts: tuple) -> tuple:
     index = {n: i for i, n in enumerate(degrees)}
     mat = np.zeros((len(index), len(index)))
     for n in degrees:
-        mat[index[n], index[n]] = eigenvalue(n, N)
+        mat[index[n], index[n]] = -n * (N + n - 2) / N  # lambda_n, correctly rounded
         if n >= 2:
             mat[index[n - 2], index[n]] = n * (n - 1)
     # |lambda_n| grows with n: the top degree's column has the largest scaled norm
@@ -291,11 +293,12 @@ def heat_moments(cfgs: Sequence[SphereConfig], f: Polynomial, route: str = "eige
     of :func:`_series_evolve`.  Each slice is computed as it would be alone,
     and a refused cell leaves every other one as it is.
     """
+    degree = f.degree()
     for cfg in cfgs:
         if f.varcount != cfg.k:
             raise ValueError(f"polynomial has {f.varcount} variables, config k={cfg.k}")
-        if f.degree() > cfg.ell:
-            raise ValueError(f"degree {f.degree()} exceeds basis cap {cfg.ell}")
+        if degree > cfg.ell:
+            raise ValueError(f"degree {degree} exceeds basis cap {cfg.ell}")
     if route not in ROUTES:
         raise ValueError(f"unsupported route {route!r} for the operator pipeline")
 
@@ -312,19 +315,15 @@ def heat_moments(cfgs: Sequence[SphereConfig], f: Polynomial, route: str = "eige
             for i in cells:
                 out[i] = MomentResult(0.0, route, 0.0, cfgs[i], alpha)
         elif route == "eigen":
-            exact = eigen_moment_terms(N, parts)
-            for i in cells:
-                try:
-                    value, bound = evaluate_exp_sum(exact, N, cfgs[i].t)
-                except ExpSumPrecisionError as exc:
-                    out[i] = exc
-                else:
-                    out[i] = MomentResult(value, route, bound, cfgs[i], alpha)
+            sums = _exp_sums(_eigen_moment_sum(N, parts), N, [cfgs[i].t for i in cells])
+            for i, result in zip(cells, sums):
+                out[i] = result if isinstance(result, Exception) else MomentResult(
+                    result[0], route, result[1], cfgs[i], alpha)
         else:
             try:  # evaluation functional 1-norm bound, the largest base-point value
-                scale_out = math.sqrt(N) ** f.degree()
+                scale_out = math.sqrt(N) ** degree
             except OverflowError:
-                refusal = ValueError(f"sqrt(N)^{f.degree()} at N={N} exceeds the double range; "
+                refusal = ValueError(f"sqrt(N)^{degree} at N={N} exceeds the double range; "
                                      "use the exact eigen route")
                 for i in cells:
                     out[i] = refusal

@@ -3,11 +3,13 @@
 import csv
 import importlib
 import io
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sphereheat import eigenmethod
@@ -46,6 +48,30 @@ def test_study_rows_canonical_order_and_rate():
     errs = [r.abs_error for r in rows]
     for a, b in zip(errs, errs[1:]):
         assert 1.6 <= a / b <= 2.4
+    # the closed-form fit of the benchmark's grid (a) against np.polyfit, over the
+    # rows of each (monomial, t, route) with a finite positive error
+    rows = run_study(StudySpec(monomials=[(4,), (8,), (12,)],
+                               n_values=[16, 32, 64, 128, 256, 512, 1024],
+                               t_values=[0.5, 1.0, 2.0], routes=["matexp", "series", "eigen"]))
+    groups = {}
+    for r in rows:
+        if r.abs_error is not None and 0 < r.abs_error < math.inf:
+            groups.setdefault((r.monomial, r.t, r.route), []).append(r)
+    assert len(groups) == 27
+    for group in groups.values():
+        want = -np.polyfit(np.log([r.N for r in group]), np.log([r.abs_error for r in group]),
+                           1)[0]
+        assert math.isclose(group[-1].fitted_rate, want, rel_tol=1e-13), group[-1]
+    assert sum(r.fitted_rate is not None for r in rows) == 27
+
+
+def test_a_failed_row_carries_no_rate():
+    # x1^160 on matexp overflows at N = 4096: the rate of the N = 16 and 64 errors
+    # goes on the N = 64 row, the largest N that was fitted
+    rows = run_study(StudySpec(monomials=[(160,)], n_values=[16, 64, 4096], t_values=[1.0],
+                               routes=["matexp"]))
+    assert [(r.N, r.value is None, r.fitted_rate is None) for r in rows] == [
+        (16, False, True), (64, False, False), (4096, True, True)]
 
 
 def test_study_rate_is_one_half_when_only_the_first_exponent_is_odd():

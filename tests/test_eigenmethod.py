@@ -360,17 +360,21 @@ def _rounded_fraction(x, digits):
 @pytest.mark.parametrize("t", [0.1, 4.0])
 @pytest.mark.parametrize("N", [2, 3, 10**6])
 def test_exp_sum_bound_holds_at_large_powers(N, t, sum_300_digits, within_300_digit_sum):
-    # the power error K = (3 + t) j + (1 + t) c + 8 is largest at j = 50, c = 1200.
-    # A constant term cancels the others' sum at this t to 20, 40 or 60 digits.  At 60
-    # with every term below 1 (N <= 3, t = 4) the first pass, 30 digits below the
-    # largest term, gives noise, and one re-pass from it falls short: the passes
-    # go on until the truncation is below the value's ulp
+    # the power error K = (4 + t) j + (2 + t) c + 8 is largest at the largest j and c:
+    # 50 and 1200, and 172 and 14706, the largest of x1^172, whose power chains are
+    # the longest; the weights of the second range are divided by sqrt(N)^172, so
+    # that its sums stay in the double range.  A constant term cancels the others'
+    # sum at this t to 20, 40 or 60 digits.  At 60 with every term below 1 (N <= 3,
+    # t = 4) the first pass, 30 digits below the largest term, gives noise, and one
+    # re-pass from it falls short: the passes go on until the truncation is below
+    # the value's ulp
     rng = random.Random(f"{N} {t}")
-    for i in range(24):
-        keys = {(50, 1200), (50, 0), (0, 1200)}
-        keys |= {(rng.randint(0, 50), rng.randint(1, 1200)) for _ in range(9)}
-        terms = {key: Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
-                 for key in keys}
+    for i in range(48):
+        j_max, c_max, scale = (50, 1200, 1) if i < 24 else (172, 14706, N**86)
+        keys = {(j_max, c_max), (j_max, 0), (0, c_max)}
+        keys |= {(rng.randint(0, j_max), rng.randint(1, c_max)) for _ in range(9)}
+        terms = {key: Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6),
+                               rng.randint(1, 10**6) * scale) for key in keys}
         digits = (None, 20, 40, 60)[i % 4]
         if digits:
             terms[0, 0] = -_rounded_fraction(sum_300_digits(terms, N, t), digits)

@@ -17,11 +17,8 @@ from scipy.linalg import expm as scipy_expm
 from sphereheat.eigenmethod import (
     eigen_moment_terms,
     eigenvalue,
-    eigen_poly,
-    eigen_poly_at_sqrtN,
     evaluate_exp_sum,
     finite_moment_x1,
-    monomial_in_eigenbasis,
 )
 from sphereheat import eigenmethod, heatop
 from sphereheat.heatop import (
@@ -883,6 +880,14 @@ def test_moment_batch_equals_its_cells():
     refused = heat_moments([SphereConfig(N=n, t=1.0, k=1, ell=160) for n in (16, 4096)],
                            Polynomial.monomial((160,)), route="matexp")
     assert isinstance(refused[0], MomentResult) and isinstance(refused[1], ValueError)
+    # one exact batch of x1^24 over t from the fourth pass (t = 1e-6) to past the
+    # double range: the t of one N share one exp-sum call
+    cfgs = [SphereConfig(N=16, t=t, k=1, ell=24) for t in (1e-6, 1e-3, 0.5, 1.0, 4.0, 1e308)]
+    f = Polynomial.monomial((24,))
+    for cfg, res in zip(cfgs, heat_moments(cfgs, f, "eigen")):
+        alone = heat_moment(cfg, f, "eigen")
+        assert (res.value.hex(), res.error_bound.hex()) == (
+            alone.value.hex(), alone.error_bound.hex()), cfg
 
 
 def random_moment_cases():
